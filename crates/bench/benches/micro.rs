@@ -1,17 +1,40 @@
-//! Criterion microbenchmarks for the simulator's hot paths: translation
-//! (TLB hit, stage-1 miss, nested miss), the MBM pipeline, and the
-//! bitmap/ring primitives. These measure *host* wall-clock performance of
-//! the simulation itself, complementing the modeled-cycle harnesses.
+//! Microbenchmarks for the simulator's hot paths: translation (TLB hit,
+//! stage-1 miss, nested miss), the MBM pipeline, and the bitmap/ring
+//! primitives. These measure *host* wall-clock performance of the
+//! simulation itself, complementing the modeled-cycle harnesses. Each
+//! case runs a short warm-up, then a fixed number of timed iterations,
+//! and reports the mean nanoseconds per iteration (also written as the
+//! `micro` bench summary when `HYPERNEL_BENCH_DIR` is set).
 //!
 //! Run with `cargo bench -p hypernel-bench --bench micro`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use std::time::Instant;
+
 use hypernel::machine::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
 use hypernel::machine::machine::{Machine, MachineConfig, NullHyp};
 use hypernel::machine::pagetable::{apply_entry_write, plan_map, walk, PagePerms};
 use hypernel::machine::regs::{hcr, sctlr, ExceptionLevel, SysReg};
 use hypernel::mbm::{BitmapLayout, RingLayout, WriteEvent};
+use hypernel_bench::summary::BenchSummary;
 use std::hint::black_box;
+
+const WARMUP_ITERS: u32 = 100;
+const MEASURE_ITERS: u32 = 2_000;
+
+/// Times `body`, prints the mean per-iteration wall-clock time and
+/// records it as `<name> ns`.
+fn time<R>(summary: &mut BenchSummary, name: &str, mut body: impl FnMut() -> R) {
+    for _ in 0..WARMUP_ITERS {
+        black_box(body());
+    }
+    let start = Instant::now();
+    for _ in 0..MEASURE_ITERS {
+        black_box(body());
+    }
+    let per_iter = start.elapsed().as_nanos() as f64 / f64::from(MEASURE_ITERS);
+    println!("  {name}: {per_iter:.0} ns/iter ({MEASURE_ITERS} iters)");
+    summary.metric(&format!("{name} ns"), per_iter);
+}
 
 /// Builds a machine with an identity stage-1 map of the low 32 MiB.
 fn stage1_machine() -> Machine {
@@ -47,32 +70,28 @@ fn stage1_machine() -> Machine {
     m
 }
 
-fn bench_translation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("translation");
-    group.bench_function("tlb_hit_read", |b| {
+fn bench_translation(summary: &mut BenchSummary) {
+    println!("translation");
+    {
         let mut m = stage1_machine();
         let mut hyp = NullHyp;
         m.read_u64(VirtAddr::new(0x20_0000), &mut hyp)
             .expect("warm");
-        b.iter(|| {
-            black_box(
-                m.read_u64(black_box(VirtAddr::new(0x20_0000)), &mut hyp)
-                    .expect("read"),
-            )
+        time(summary, "tlb_hit_read", || {
+            m.read_u64(black_box(VirtAddr::new(0x20_0000)), &mut hyp)
+                .expect("read")
         });
-    });
-    group.bench_function("stage1_miss_walk", |b| {
+    }
+    {
         let mut m = stage1_machine();
         let mut hyp = NullHyp;
-        b.iter(|| {
+        time(summary, "stage1_miss_walk", || {
             m.tlbi_all();
-            black_box(
-                m.read_u64(black_box(VirtAddr::new(0x20_0000)), &mut hyp)
-                    .expect("read"),
-            )
+            m.read_u64(black_box(VirtAddr::new(0x20_0000)), &mut hyp)
+                .expect("read")
         });
-    });
-    group.bench_function("nested_miss_walk", |b| {
+    }
+    {
         let mut m = stage1_machine();
         // Stage-2 identity blocks over low memory.
         let s2_root = PhysAddr::new(0x400_0000);
@@ -101,32 +120,29 @@ fn bench_translation(c: &mut Criterion) {
         m.el2_write_sysreg(SysReg::HCR_EL2, hcr::VM);
         m.set_el(ExceptionLevel::El1);
         let mut hyp = NullHyp;
-        b.iter(|| {
+        time(summary, "nested_miss_walk", || {
             m.tlbi_all();
-            black_box(
-                m.read_u64(black_box(VirtAddr::new(0x20_0000)), &mut hyp)
-                    .expect("read"),
-            )
+            m.read_u64(black_box(VirtAddr::new(0x20_0000)), &mut hyp)
+                .expect("read")
         });
-    });
-    group.bench_function("raw_walk_4_levels", |b| {
+    }
+    {
         let mut m = stage1_machine();
         let root = PhysAddr::new(0x100_0000);
-        b.iter(|| {
+        time(summary, "raw_walk_4_levels", || {
             let mut view = m.pt_view();
-            black_box(walk(&mut view, root, black_box(0x20_0000)).expect("walk"))
+            walk(&mut view, root, black_box(0x20_0000)).expect("walk")
         });
-    });
-    group.finish();
+    }
 }
 
-fn bench_mbm(c: &mut Criterion) {
+fn bench_mbm(summary: &mut BenchSummary) {
     use hypernel::machine::bus::{BusContext, BusSnooper, BusTransaction};
     use hypernel::machine::irq::IrqController;
     use hypernel::machine::mem::PhysMemory;
     use hypernel::mbm::{Mbm, MbmConfig};
 
-    let mut group = c.benchmark_group("mbm");
+    println!("mbm");
     let config = MbmConfig::standard(
         PhysAddr::new(0),
         1 << 20,
@@ -134,7 +150,7 @@ fn bench_mbm(c: &mut Criterion) {
         PhysAddr::new(0x50_0000),
         1024,
     );
-    group.bench_function("snoop_unwatched_write", |b| {
+    {
         let mut mbm = Mbm::new(config);
         let mut mem = PhysMemory::new(0x60_0000);
         let mut irq = IrqController::new();
@@ -143,7 +159,7 @@ fn bench_mbm(c: &mut Criterion) {
             addr: PhysAddr::new(0x1000),
             value: 7,
         };
-        b.iter(|| {
+        time(summary, "snoop_unwatched_write", || {
             let mut ctx = BusContext {
                 mem: &mut mem,
                 irq: &mut irq,
@@ -152,8 +168,8 @@ fn bench_mbm(c: &mut Criterion) {
             };
             mbm.on_transaction(black_box(&txn), &mut ctx);
         });
-    });
-    group.bench_function("snoop_watched_write", |b| {
+    }
+    {
         let mut mbm = Mbm::new(config);
         let mut mem = PhysMemory::new(0x60_0000);
         let mut irq = IrqController::new();
@@ -166,7 +182,7 @@ fn bench_mbm(c: &mut Criterion) {
             addr: PhysAddr::new(0x1000),
             value: 7,
         };
-        b.iter(|| {
+        time(summary, "snoop_watched_write", || {
             let mut ctx = BusContext {
                 mem: &mut mem,
                 irq: &mut irq,
@@ -178,32 +194,35 @@ fn bench_mbm(c: &mut Criterion) {
             config.ring.pop(ctx.mem);
             irq.ack_next();
         });
-    });
-    group.finish();
+    }
 }
 
-fn bench_primitives(c: &mut Criterion) {
+fn bench_primitives(summary: &mut BenchSummary) {
     use hypernel::machine::mem::PhysMemory;
 
-    let mut group = c.benchmark_group("primitives");
-    group.bench_function("bitmap_plan_update_4k", |b| {
-        let layout = BitmapLayout::new(PhysAddr::new(0), 1 << 30, PhysAddr::new(0x4000_0000));
-        b.iter(|| black_box(layout.plan_update(black_box(PhysAddr::new(0x12_3000)), 4096, true)));
+    println!("primitives");
+    let layout = BitmapLayout::new(PhysAddr::new(0), 1 << 30, PhysAddr::new(0x4000_0000));
+    time(summary, "bitmap_plan_update_4k", || {
+        layout.plan_update(black_box(PhysAddr::new(0x12_3000)), 4096, true)
     });
-    group.bench_function("ring_push_pop", |b| {
+    {
         let ring = RingLayout::new(PhysAddr::new(0x1000), 1024);
         let mut mem = PhysMemory::new(1 << 20);
         let ev = WriteEvent {
             addr: PhysAddr::new(0x8),
             value: 42,
         };
-        b.iter(|| {
+        time(summary, "ring_push_pop", || {
             ring.push(&mut mem, black_box(ev));
-            black_box(ring.pop(&mut mem))
+            ring.pop(&mut mem)
         });
-    });
-    group.finish();
+    }
 }
 
-criterion_group!(benches, bench_translation, bench_mbm, bench_primitives);
-criterion_main!(benches);
+fn main() {
+    let mut summary = BenchSummary::new("micro");
+    bench_translation(&mut summary);
+    bench_mbm(&mut summary);
+    bench_primitives(&mut summary);
+    summary.write_if_requested();
+}

@@ -40,14 +40,15 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hypernel::{Mode, System};
+use hypernel::System;
 use hypernel_hypersec::codes;
-use hypernel_machine::FaultHit;
+use hypernel_kernel::STEP_KINDS;
+use hypernel_machine::{FaultHit, FAULT_KINDS};
 use hypernel_mbm::Mbm;
 use hypernel_telemetry::json::Json;
 
 use crate::record::{StepRecord, Violation};
-use crate::scenario::Scenario;
+use crate::scenario::{mode_key, Scenario, MODES};
 
 /// Schema version stamped into the coverage atlas artifact.
 pub const COVERAGE_SCHEMA: u64 = 1;
@@ -55,54 +56,11 @@ pub const COVERAGE_SCHEMA: u64 = 1;
 /// `kind` tag of the coverage atlas artifact.
 pub const COVERAGE_KIND: &str = "hypernel-coverage-atlas";
 
-/// Every attack-step kind name, sorted (mirrors the scenario loader).
-pub const STEP_KINDS: &[&str] = &[
-    "atra-cred",
-    "atra-dentry",
-    "channel-spoof",
-    "code-injection",
-    "cred-escalation",
-    "cross-domain-cred-theft",
-    "dentry-hijack",
-    "double-map-cred",
-    "hypercall-probe",
-    "map-secure-region",
-    "pt-direct-write",
-    "pt-forge-probe",
-    "shared-region-toctou",
-    "sysreg-probe",
-    "text-patch",
-    "ttbr-redirect",
-];
-
 /// Per-step outcome classes a run can land in.
 pub const OUTCOMES: &[&str] = &["blocked", "detected", "undetected"];
 
-/// Every fault kind name, sorted (mirrors [`hypernel_machine::FaultKind`]).
-pub const FAULT_KINDS: &[&str] = &[
-    "delay-irq",
-    "desync-bitmap",
-    "drop-irq",
-    "flip-snoop-addr",
-    "lose-hypercall",
-    "stall-translator",
-];
-
 /// Every oracle name, sorted (mirrors `crate::oracle`).
 pub const ORACLES: &[&str] = &["audit", "detection", "latency", "outcomes", "wx"];
-
-/// Every mode key, sorted (the scenario-TOML `mode` values).
-pub const MODES: &[&str] = &["hypernel", "kvm", "native"];
-
-/// The lowercase scenario-TOML key for a mode (`Mode`'s `Display` is
-/// the human form — `KVM-guest` — which makes poor feature keys).
-pub fn mode_key(mode: Mode) -> &'static str {
-    match mode {
-        Mode::Native => "native",
-        Mode::KvmGuest => "kvm",
-        Mode::Hypernel => "hypernel",
-    }
-}
 
 /// The outcome class of one executed step.
 pub fn step_outcome(step: &StepRecord) -> &'static str {
@@ -346,8 +304,8 @@ pub fn known_features() -> Vec<String> {
     for k in ["hit", "miss", "eviction", "flush"] {
         out.insert(format!("machine/tlb/{k}"));
     }
-    for k in FAULT_KINDS {
-        out.insert(format!("machine/fault-site/{k}"));
+    for row in FAULT_KINDS {
+        out.insert(format!("machine/fault-site/{}", row.name));
     }
     for k in ["snooped", "captured", "translated", "matched", "irq-raised"] {
         out.insert(format!("mbm/stage/{k}"));
@@ -405,7 +363,7 @@ pub fn known_features() -> Vec<String> {
     }
     for step in STEP_KINDS {
         for outcome in OUTCOMES {
-            out.insert(format!("kernel/attack/{step}/{outcome}"));
+            out.insert(format!("kernel/attack/{}/{outcome}", step.name));
         }
     }
     out.insert("oracle/none".to_string());
@@ -414,12 +372,16 @@ pub fn known_features() -> Vec<String> {
             out.insert(format!("oracle/{oracle}/{verdict}"));
         }
     }
-    let fault_dim: Vec<&str> = FAULT_KINDS.iter().copied().chain(["none"]).collect();
+    let fault_dim: Vec<&str> = FAULT_KINDS
+        .iter()
+        .map(|row| row.name)
+        .chain(["none"])
+        .collect();
     let oracle_dim: Vec<&str> = ORACLES.iter().copied().chain(["none"]).collect();
     for outcome in OUTCOMES {
         for fault in &fault_dim {
             for oracle in &oracle_dim {
-                for mode in MODES {
+                for (_, mode) in MODES {
                     out.insert(format!("tuple/{outcome}/{fault}/{oracle}/{mode}"));
                 }
             }
@@ -456,8 +418,9 @@ mod tests {
     use super::*;
     use crate::engine::run_one;
     use crate::scenario::StepExpect;
+    use hypernel::Mode;
     use hypernel_kernel::AttackStep;
-    use hypernel_machine::{FaultKind, FaultSpec};
+    use hypernel_machine::FaultSpec;
 
     #[test]
     fn merge_is_commutative_and_additive() {
@@ -480,18 +443,6 @@ mod tests {
 
     #[test]
     fn constant_tables_mirror_the_model() {
-        for kind in FAULT_KINDS {
-            assert!(FaultKind::parse(kind).is_some(), "unknown fault `{kind}`");
-        }
-        assert_eq!(FAULT_KINDS.len(), 6);
-        for step in STEP_KINDS {
-            // The loader is the source of truth for step kinds.
-            let toml = format!("name = \"t\"\n[[step]]\nkind = \"{step}\"");
-            assert!(
-                Scenario::from_toml(&toml).is_ok(),
-                "unknown step kind `{step}`"
-            );
-        }
         let mut sorted = known_features();
         let len = sorted.len();
         sorted.dedup();

@@ -5,8 +5,8 @@
 //! new loader versions must keep reading old corpora. The price is that
 //! a typo (`latency_bound` for `latency-bound`, `pids` for `pid`)
 //! silently produces a *different* scenario than the author wrote. The
-//! linter closes that gap: it re-parses the raw document and flags
-//! every key the loader would not consume, plus a handful of semantic
+//! linter closes that gap: it loads the document and flags every key
+//! and section the loader did not read, plus a handful of semantic
 //! smells — a `latency-bound` that can never be checked, Hypernel-only
 //! pressure knobs on baseline modes, a `masked` step with nothing
 //! declared that could mask it, and scenario names that drift from
@@ -18,148 +18,39 @@
 
 use std::path::Path;
 
-use crate::scenario::Scenario;
-use crate::toml::{self, TomlTable};
+use hypernel_compose::toml::Unread;
+use hypernel_kernel::{ComposeRef, ParamValue};
 
-/// Top-level `key = value` pairs the loader consumes.
-const TOP_KEYS: &[&str] = &[
-    "name",
-    "description",
-    "mode",
-    "monitor",
-    "background-ops",
-    "latency-bound",
-    "fifo-capacity",
-    "drain-budget",
-];
-
-/// Hypernel-only knobs: on `native`/`kvm` the loader accepts them but
-/// nothing downstream reads them.
-const HYPERNEL_ONLY_KEYS: &[&str] = &["monitor", "latency-bound", "fifo-capacity", "drain-budget"];
-
-/// Keys the optional `[metrics]` section consumes.
-const METRICS_KEYS: &[&str] = &["window-cycles", "series"];
-
-/// Keys the optional `[compose]` section consumes.
-const COMPOSE_KEYS: &[&str] = &["watch"];
-
-/// Keys every `[[domain]]` may carry.
-const DOMAIN_KEYS: &[&str] = &["name", "role", "priority", "tasks"];
-
-/// Keys every `[[channel]]` may carry.
-const CHANNEL_KEYS: &[&str] = &["name", "from", "to", "capacity"];
-
-/// Keys every `[[region]]` may carry.
-const REGION_KEYS: &[&str] = &["name", "owner", "share", "pages", "protect", "va"];
-
-/// Keys every `[[step]]` may carry.
-const STEP_COMMON_KEYS: &[&str] = &["kind", "expect"];
-
-/// Keys every `[[fault]]` may carry.
-const FAULT_COMMON_KEYS: &[&str] = &["kind", "at", "count"];
-
-/// Extra keys a step of the given kind consumes.
-fn step_extra_keys(kind: &str) -> Option<&'static [&'static str]> {
-    Some(match kind {
-        "cred-escalation" | "map-secure-region" | "atra-cred" | "double-map-cred" => &["pid"],
-        "dentry-hijack" => &["path", "rogue-inode"],
-        "pt-direct-write" => &["pid", "value"],
-        "atra-dentry" => &["path"],
-        "cross-domain-cred-theft" => &["attacker", "victim"],
-        "shared-region-toctou" => &["region"],
-        "channel-spoof" => &["channel"],
-        "hypercall-probe" => &["nr"],
-        "ttbr-redirect" | "code-injection" | "text-patch" | "sysreg-probe" | "pt-forge-probe" => {
-            &[]
-        }
-        _ => return None,
-    })
-}
-
-/// Extra (parameter) keys a fault of the given kind consumes.
-fn fault_extra_keys(kind: &str) -> Option<&'static [&'static str]> {
-    Some(match kind {
-        "delay-irq" => &["steps"],
-        "flip-snoop-addr" => &["bit"],
-        "lose-hypercall" => &["call"],
-        "drop-irq" | "stall-translator" | "desync-bitmap" => &[],
-        _ => return None,
-    })
-}
-
-fn unknown_keys(
-    table: &TomlTable,
-    allowed: &[&str],
-    extra: &[&str],
-    what: &str,
-    out: &mut Vec<String>,
-) {
-    for (key, _) in &table.values {
-        if !allowed.contains(&key.as_str()) && !extra.contains(&key.as_str()) {
-            out.push(format!(
-                "{what}: unknown key `{key}` (the loader ignores it)"
-            ));
-        }
-    }
-}
+use crate::scenario::{toml_files, Scenario, StepExpect};
+use crate::toml;
 
 /// Lints one scenario source. `stem` is the file stem (for the
 /// name-matches-file check); pass `None` for sources without a file.
 /// Returns one message per problem; empty means clean.
 pub fn lint_source(stem: Option<&str>, source: &str) -> Vec<String> {
-    let mut out = Vec::new();
     let doc = match toml::parse(source) {
         Ok(doc) => doc,
         Err(e) => return vec![format!("syntax: {e}")],
     };
-    let scenario = match Scenario::from_toml(source) {
+    let scenario = match Scenario::from_doc(&doc) {
         Ok(s) => s,
         Err(e) => return vec![format!("schema: {e}")],
     };
 
-    unknown_keys(&doc, TOP_KEYS, &[], "top level", &mut out);
-    for (name, t) in &doc.tables {
-        if name == "metrics" {
-            unknown_keys(t, METRICS_KEYS, &[], "[metrics]", &mut out);
-            continue;
-        }
-        if name == "compose" {
-            unknown_keys(t, COMPOSE_KEYS, &[], "[compose]", &mut out);
-            continue;
-        }
-        out.push(format!(
-            "top level: unknown section `[{name}]` (only `[metrics]`, `[compose]`, `[[step]]`, \
-             `[[fault]]`, `[[domain]]`, `[[channel]]` and `[[region]]` exist)"
-        ));
-    }
-    for (name, tables) in &doc.arrays {
-        let keys = match name.as_str() {
-            "step" | "fault" => continue, // handled per-kind below
-            "domain" => DOMAIN_KEYS,
-            "channel" => CHANNEL_KEYS,
-            "region" => REGION_KEYS,
-            _ => {
-                out.push(format!("top level: unknown section `[[{name}]]`"));
-                continue;
+    let mut out: Vec<String> = doc
+        .unread()
+        .into_iter()
+        .map(|unread| match unread {
+            Unread::Key { section, key } => {
+                format!("{section}: unknown key `{key}` (the loader ignores it)")
             }
-        };
-        for (i, t) in tables.iter().enumerate() {
-            unknown_keys(t, keys, &[], &format!("{name} {}", i + 1), &mut out);
-        }
-    }
-    for (i, t) in doc.array("step").iter().enumerate() {
-        let what = format!("step {}", i + 1);
-        // Unknown kinds are a loader error, already reported above.
-        if let Some(extra) = t.get_str("kind").and_then(step_extra_keys) {
-            unknown_keys(t, STEP_COMMON_KEYS, extra, &what, &mut out);
-        }
-    }
-    for (i, t) in doc.array("fault").iter().enumerate() {
-        let what = format!("fault {}", i + 1);
-        if let Some(extra) = t.get_str("kind").and_then(fault_extra_keys) {
-            unknown_keys(t, FAULT_COMMON_KEYS, extra, &what, &mut out);
-        }
-    }
+            Unread::Table(name) => format!(
+                "top level: unknown section `[{name}]` (only {} exist)",
+                quoted_list(&doc.sections_read())
+            ),
+            Unread::Array(name) => format!("top level: unknown section `[[{name}]]`"),
+        })
+        .collect();
 
     if let Some(spec) = &scenario.metrics {
         if let Some(series) = &spec.series {
@@ -188,19 +79,14 @@ pub fn lint_source(stem: Option<&str>, source: &str) -> Vec<String> {
         }
     }
     if !matches!(scenario.mode, hypernel::Mode::Hypernel) {
-        for key in HYPERNEL_ONLY_KEYS {
-            if doc.get(key).is_some() {
-                out.push(format!(
-                    "`{key}` has no effect in `{}` mode (Hypernel-only knob)",
-                    scenario.mode
-                ));
-            }
+        for key in scenario.hypernel_only_keys() {
+            out.push(format!(
+                "`{key}` has no effect in `{}` mode (Hypernel-only knob)",
+                scenario.mode
+            ));
         }
         for (i, spec) in scenario.steps.iter().enumerate() {
-            if matches!(
-                spec.expect,
-                crate::scenario::StepExpect::Detected | crate::scenario::StepExpect::Masked
-            ) {
+            if matches!(spec.expect, StepExpect::Detected | StepExpect::Masked) {
                 out.push(format!(
                     "step {}: expect `{}` needs a monitor, but mode `{}` has none",
                     i + 1,
@@ -214,7 +100,7 @@ pub fn lint_source(stem: Option<&str>, source: &str) -> Vec<String> {
         && !scenario
             .steps
             .iter()
-            .any(|s| s.expect == crate::scenario::StepExpect::Detected)
+            .any(|s| s.expect == StepExpect::Detected)
     {
         out.push(
             "latency-bound is set but no step expects `detected`, so it can never be checked"
@@ -227,39 +113,34 @@ pub fn lint_source(stem: Option<&str>, source: &str) -> Vec<String> {
         }
     }
     for (i, spec) in scenario.steps.iter().enumerate() {
-        use hypernel_kernel::AttackStep;
-        let references: Vec<(&str, &str, &str)> = match &spec.step {
-            AttackStep::CrossDomainCredTheft { attacker, victim } => vec![
-                ("attacker", "domain", attacker.as_str()),
-                ("victim", "domain", victim.as_str()),
-            ],
-            AttackStep::SharedRegionToctou { region } => {
-                vec![("region", "region", region.as_str())]
-            }
-            AttackStep::ChannelSpoof { channel } => {
-                vec![("channel", "channel", channel.as_str())]
-            }
-            _ => continue,
-        };
+        let (kind, values) = spec.step.describe();
+        if !kind.composed() {
+            continue;
+        }
         let Some(compose) = &scenario.compose else {
             out.push(format!(
                 "step {}: `{}` targets a composed system, but the scenario declares none \
                  (add [[domain]] / [[channel]] / [[region]] sections)",
                 i + 1,
-                spec.step.name()
+                kind.name
             ));
             continue;
         };
-        for (key, kind, name) in references {
-            let declared = match kind {
-                "domain" => compose.domains.iter().any(|d| d.name == name),
-                "channel" => compose.channels.iter().any(|c| c.name == name),
-                _ => compose.regions.iter().any(|r| r.name == name),
+        for (param, value) in kind.params.iter().zip(values) {
+            let (Some(entity), ParamValue::Str(name)) = (param.refers_to, value) else {
+                continue;
+            };
+            let declared = match entity {
+                ComposeRef::Domain => compose.domains.iter().any(|d| d.name == name),
+                ComposeRef::Region => compose.regions.iter().any(|r| r.name == name),
+                ComposeRef::Channel => compose.channels.iter().any(|c| c.name == name),
             };
             if !declared {
                 out.push(format!(
-                    "step {}: `{key}` references undeclared {kind} `{name}`",
-                    i + 1
+                    "step {}: `{}` references undeclared {} `{name}`",
+                    i + 1,
+                    param.key,
+                    entity.name()
                 ));
             }
         }
@@ -269,7 +150,7 @@ pub fn lint_source(stem: Option<&str>, source: &str) -> Vec<String> {
         || scenario.drain_budget.is_some();
     if !declared_mask {
         for (i, spec) in scenario.steps.iter().enumerate() {
-            if spec.expect == crate::scenario::StepExpect::Masked {
+            if spec.expect == StepExpect::Masked {
                 out.push(format!(
                     "step {}: expect `masked` but the scenario declares no fault or FIFO pressure \
                      that could mask detection",
@@ -287,6 +168,16 @@ pub fn lint_source(stem: Option<&str>, source: &str) -> Vec<String> {
         out.push(format!("step {}: {detail}", index + 1));
     }
     out
+}
+
+/// `` `a` ``, `` `a` and `b` ``, `` `a`, `b` and `c` ``.
+fn quoted_list(items: &[String]) -> String {
+    let quoted: Vec<String> = items.iter().map(|item| format!("`{item}`")).collect();
+    match quoted.split_last() {
+        None => String::new(),
+        Some((last, [])) => last.clone(),
+        Some((last, init)) => format!("{} and {last}", init.join(", ")),
+    }
 }
 
 /// One linter complaint, attributed to its file.
@@ -312,12 +203,7 @@ impl std::fmt::Display for LintIssue {
 /// Returns an error string when the directory or a file cannot be read
 /// — I/O problems, not lint findings.
 pub fn lint_dir(dir: &Path) -> Result<Vec<LintIssue>, String> {
-    let mut paths: Vec<_> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read `{}`: {e}", dir.display()))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "toml"))
-        .collect();
-    paths.sort();
+    let paths = toml_files(dir)?;
     let mut issues = Vec::new();
     let mut names: Vec<(String, String)> = Vec::new();
     for path in &paths {

@@ -8,15 +8,43 @@
 //! subset in `corpus/*.toml` (see `docs/CAMPAIGN.md` for the schema).
 
 use std::fmt;
+use std::path::{Path, PathBuf};
 
 use hypernel::Mode;
 use hypernel_compose::ComposeDoc;
 use hypernel_kernel::kernel::MonitorMode;
-use hypernel_kernel::AttackStep;
+use hypernel_kernel::{AttackStep, ParamValue, StepKind};
 use hypernel_machine::{FaultKind, FaultPlan, FaultSpec};
 use hypernel_telemetry::metrics::{MetricsConfig, DEFAULT_WINDOW_CYCLES};
 
-use crate::toml::{self, TomlTable};
+use crate::toml::{self, TomlTable, TomlValue};
+
+/// Every protection mode with its scenario-file key, in sweep order.
+pub const MODES: [(Mode, &str); 3] = [
+    (Mode::Hypernel, "hypernel"),
+    (Mode::KvmGuest, "kvm"),
+    (Mode::Native, "native"),
+];
+
+/// The lowercase scenario-file key for a mode (`Mode`'s `Display` is
+/// the human form — `KVM-guest` — which makes poor keys).
+pub fn mode_key(mode: Mode) -> &'static str {
+    MODES
+        .iter()
+        .find(|(m, _)| *m == mode)
+        .map(|(_, key)| *key)
+        .expect("MODES lists every mode")
+}
+
+/// Inverse of [`mode_key`].
+pub fn parse_mode(key: &str) -> Option<Mode> {
+    MODES.iter().find(|(_, k)| *k == key).map(|(mode, _)| *mode)
+}
+
+/// The accepted mode keys, for error messages (`hypernel | kvm | native`).
+pub fn mode_choices() -> String {
+    MODES.map(|(_, key)| key).join(" | ")
+}
 
 /// What a step's outcome should look like under this scenario's mode —
 /// the ground truth the `outcomes` and `detection` oracles check
@@ -220,39 +248,17 @@ impl Scenario {
     /// missing required fields.
     pub fn from_toml(input: &str) -> Result<Self, ScenarioError> {
         let doc = toml::parse(input).map_err(|e| ScenarioError::new(e.to_string()))?;
-        Self::from_table(&doc)
+        Self::from_doc(&doc)
     }
 
-    fn from_table(doc: &TomlTable) -> Result<Self, ScenarioError> {
-        let name = doc
-            .get_str("name")
-            .ok_or_else(|| ScenarioError::new("missing `name`"))?;
-        let mode = match doc.get_str("mode").unwrap_or("hypernel") {
-            "native" => Mode::Native,
-            "kvm" => Mode::KvmGuest,
-            "hypernel" => Mode::Hypernel,
-            other => {
-                return Err(ScenarioError::new(format!(
-                    "unknown mode `{other}` (native | kvm | hypernel)"
-                )))
-            }
-        };
-        let mut scenario = Scenario::new(name, mode);
-        scenario.description = doc.get_str("description").unwrap_or("").to_string();
-        scenario.monitor = match doc.get_str("monitor").unwrap_or("sensitive-fields") {
-            "sensitive-fields" => MonitorMode::SensitiveFields,
-            "whole-object" => MonitorMode::WholeObject,
-            other => {
-                return Err(ScenarioError::new(format!(
-                    "unknown monitor mode `{other}` (sensitive-fields | whole-object)"
-                )))
-            }
-        };
-        scenario.background_ops = doc.get_u64("background-ops").unwrap_or(0);
-        scenario.latency_bound = doc.get_u64("latency-bound");
-        scenario.fifo_capacity = doc.get_u64("fifo-capacity").map(|v| v as usize);
-        scenario.drain_budget = doc.get_u64("drain-budget").map(|v| v as usize);
-
+    /// Loads a scenario from a parsed document. Keys and sections it
+    /// does not know are skipped; afterwards `doc.unread()` lists them.
+    ///
+    /// # Errors
+    ///
+    /// As [`Scenario::from_toml`], minus syntax errors.
+    pub fn from_doc(doc: &TomlTable) -> Result<Self, ScenarioError> {
+        let mut scenario = parse_top_level(doc).map_err(|e| e.context("top level"))?;
         if doc.array("step").is_empty() {
             return Err(ScenarioError::new("a scenario needs at least one [[step]]"));
         }
@@ -272,8 +278,23 @@ impl Scenario {
         Ok(scenario)
     }
 
+    /// The top-level keys this scenario sets that only Hypernel mode
+    /// reads (the baseline modes accept and ignore them).
+    pub fn hypernel_only_keys(&self) -> Vec<&'static str> {
+        [
+            ("monitor", self.monitor != MonitorMode::SensitiveFields),
+            ("latency-bound", self.latency_bound.is_some()),
+            ("fifo-capacity", self.fifo_capacity.is_some()),
+            ("drain-budget", self.drain_budget.is_some()),
+        ]
+        .into_iter()
+        .filter(|(_, set)| *set)
+        .map(|(key, _)| key)
+        .collect()
+    }
+
     /// Serializes the scenario back into its TOML form, emitting only
-    /// keys the linter knows, so `explore` mutants land on disk
+    /// keys the loader reads, so `explore` mutants land on disk
     /// ready-to-lint. Inverse of [`Scenario::from_toml`]:
     /// `from_toml(&s.to_toml())` reproduces `s` (round-trip tested).
     pub fn to_toml(&self) -> String {
@@ -283,12 +304,7 @@ impl Scenario {
         if !self.description.is_empty() {
             let _ = writeln!(out, "description = {}", toml_str(&self.description));
         }
-        let mode = match self.mode {
-            Mode::Native => "native",
-            Mode::KvmGuest => "kvm",
-            Mode::Hypernel => "hypernel",
-        };
-        let _ = writeln!(out, "mode = \"{mode}\"");
+        let _ = writeln!(out, "mode = \"{}\"", mode_key(self.mode));
         if self.monitor == MonitorMode::WholeObject {
             let _ = writeln!(out, "monitor = \"whole-object\"");
         }
@@ -317,54 +333,13 @@ impl Scenario {
         }
         for spec in &self.steps {
             let _ = writeln!(out, "\n[[step]]");
-            let (kind, params): (&str, Vec<(&str, String)>) = match &spec.step {
-                AttackStep::CredEscalation { pid } => {
-                    ("cred-escalation", vec![("pid", pid.to_string())])
-                }
-                AttackStep::DentryHijack { path, rogue_inode } => (
-                    "dentry-hijack",
-                    vec![
-                        ("path", toml_str(path)),
-                        ("rogue-inode", rogue_inode.to_string()),
-                    ],
-                ),
-                AttackStep::MapSecureRegion { pid } => {
-                    ("map-secure-region", vec![("pid", pid.to_string())])
-                }
-                AttackStep::PtDirectWrite { pid, value } => (
-                    "pt-direct-write",
-                    vec![("pid", pid.to_string()), ("value", value.to_string())],
-                ),
-                AttackStep::TtbrRedirect => ("ttbr-redirect", vec![]),
-                AttackStep::CodeInjection => ("code-injection", vec![]),
-                AttackStep::TextPatch => ("text-patch", vec![]),
-                AttackStep::AtraCred { pid } => ("atra-cred", vec![("pid", pid.to_string())]),
-                AttackStep::AtraDentry { path } => ("atra-dentry", vec![("path", toml_str(path))]),
-                AttackStep::DoubleMapCred { pid } => {
-                    ("double-map-cred", vec![("pid", pid.to_string())])
-                }
-                AttackStep::CrossDomainCredTheft { attacker, victim } => (
-                    "cross-domain-cred-theft",
-                    vec![
-                        ("attacker", toml_str(attacker)),
-                        ("victim", toml_str(victim)),
-                    ],
-                ),
-                AttackStep::SharedRegionToctou { region } => {
-                    ("shared-region-toctou", vec![("region", toml_str(region))])
-                }
-                AttackStep::ChannelSpoof { channel } => {
-                    ("channel-spoof", vec![("channel", toml_str(channel))])
-                }
-                AttackStep::HypercallProbe { nr } => {
-                    ("hypercall-probe", vec![("nr", nr.to_string())])
-                }
-                AttackStep::SysregProbe => ("sysreg-probe", vec![]),
-                AttackStep::PtForgeProbe => ("pt-forge-probe", vec![]),
-            };
-            let _ = writeln!(out, "kind = \"{kind}\"");
-            for (key, value) in params {
-                let _ = writeln!(out, "{key} = {value}");
+            let (kind, values) = spec.step.describe();
+            let _ = writeln!(out, "kind = \"{}\"", kind.name);
+            for (param, value) in kind.params.iter().zip(values) {
+                let _ = match value {
+                    ParamValue::U64(v) => writeln!(out, "{} = {v}", param.key),
+                    ParamValue::Str(s) => writeln!(out, "{} = {}", param.key, toml_str(s)),
+                };
             }
             let _ = writeln!(out, "expect = \"{}\"", spec.expect.name());
         }
@@ -377,19 +352,14 @@ impl Scenario {
             } else {
                 let _ = writeln!(out, "count = {}", fault.count);
             }
-            match fault.kind {
-                FaultKind::DelayIrq => {
-                    let _ = writeln!(out, "steps = {}", fault.param);
+            // The subset's integers are `i64`: a larger parameter has no
+            // literal spelling. Only `call` takes one (`u64::MAX`, "any"),
+            // and it is that key's default, so omitting it reads back
+            // the same.
+            if let Some(param) = &fault.kind.row().param {
+                if i64::try_from(fault.param).is_ok() {
+                    let _ = writeln!(out, "{} = {}", param.key, fault.param);
                 }
-                FaultKind::FlipSnoopAddr => {
-                    let _ = writeln!(out, "bit = {}", fault.param);
-                }
-                // `call` defaults to "any" (u64::MAX), which has no
-                // literal TOML spelling — omit it to mean the same.
-                FaultKind::LoseHypercall if fault.param != u64::MAX => {
-                    let _ = writeln!(out, "call = {}", fault.param);
-                }
-                _ => {}
             }
         }
         out
@@ -404,6 +374,34 @@ fn toml_str(s: &str) -> String {
     format!("\"{}\"", s.replace('"', "'"))
 }
 
+fn parse_top_level(doc: &TomlTable) -> Result<Scenario, ScenarioError> {
+    let name = doc
+        .read_str("name")?
+        .ok_or_else(|| ScenarioError::new("missing `name`"))?;
+    let mode = match doc.read_str("mode")? {
+        None => Mode::Hypernel,
+        Some(text) => parse_mode(text).ok_or_else(|| {
+            ScenarioError::new(format!("unknown mode `{text}` ({})", mode_choices()))
+        })?,
+    };
+    let mut scenario = Scenario::new(name, mode);
+    scenario.description = doc.read_str("description")?.unwrap_or("").to_string();
+    scenario.monitor = match doc.read_str("monitor")?.unwrap_or("sensitive-fields") {
+        "sensitive-fields" => MonitorMode::SensitiveFields,
+        "whole-object" => MonitorMode::WholeObject,
+        other => {
+            return Err(ScenarioError::new(format!(
+                "unknown monitor mode `{other}` (sensitive-fields | whole-object)"
+            )))
+        }
+    };
+    scenario.background_ops = doc.read_u64("background-ops")?.unwrap_or(0);
+    scenario.latency_bound = doc.read_u64("latency-bound")?;
+    scenario.fifo_capacity = doc.read_u64("fifo-capacity")?.map(|v| v as usize);
+    scenario.drain_budget = doc.read_u64("drain-budget")?.map(|v| v as usize);
+    Ok(scenario)
+}
+
 fn parse_metrics(t: &TomlTable) -> Result<MetricsSpec, ScenarioError> {
     let mut spec = MetricsSpec::default();
     if let Some(w) = t.get("window-cycles") {
@@ -413,7 +411,7 @@ fn parse_metrics(t: &TomlTable) -> Result<MetricsSpec, ScenarioError> {
             .ok_or_else(|| ScenarioError::new("`window-cycles` must be a positive integer"))?;
     }
     if let Some(v) = t.get("series") {
-        let toml::TomlValue::Array(items) = v else {
+        let TomlValue::Array(items) = v else {
             return Err(ScenarioError::new("`series` must be an array of strings"));
         };
         let series = items
@@ -430,79 +428,87 @@ fn parse_metrics(t: &TomlTable) -> Result<MetricsSpec, ScenarioError> {
 }
 
 fn parse_step(t: &TomlTable) -> Result<StepSpec, ScenarioError> {
-    let kind = t
-        .get_str("kind")
+    let name = t
+        .read_str("kind")?
         .ok_or_else(|| ScenarioError::new("missing `kind`"))?;
-    let pid = || t.get_u64("pid").unwrap_or(1);
-    let path = || t.get_str("path").unwrap_or("/bin/sh").to_string();
-    let step = match kind {
-        "cred-escalation" => AttackStep::CredEscalation { pid: pid() },
-        "dentry-hijack" => AttackStep::DentryHijack {
-            path: path(),
-            rogue_inode: t.get_u64("rogue-inode").unwrap_or(0xBAD),
-        },
-        "map-secure-region" => AttackStep::MapSecureRegion { pid: pid() },
-        "pt-direct-write" => AttackStep::PtDirectWrite {
-            pid: pid(),
-            value: t.get_u64("value").unwrap_or(0xBAD),
-        },
-        "ttbr-redirect" => AttackStep::TtbrRedirect,
-        "code-injection" => AttackStep::CodeInjection,
-        "text-patch" => AttackStep::TextPatch,
-        "atra-cred" => AttackStep::AtraCred { pid: pid() },
-        "atra-dentry" => AttackStep::AtraDentry { path: path() },
-        "double-map-cred" => AttackStep::DoubleMapCred { pid: pid() },
-        "cross-domain-cred-theft" => AttackStep::CrossDomainCredTheft {
-            attacker: t.get_str("attacker").unwrap_or("client").to_string(),
-            victim: t.get_str("victim").unwrap_or("server").to_string(),
-        },
-        "shared-region-toctou" => AttackStep::SharedRegionToctou {
-            region: t.get_str("region").unwrap_or("shared").to_string(),
-        },
-        "channel-spoof" => AttackStep::ChannelSpoof {
-            channel: t.get_str("channel").unwrap_or("chan").to_string(),
-        },
-        "hypercall-probe" => AttackStep::HypercallProbe {
-            nr: t.get_u64("nr").unwrap_or(0xDEAD),
-        },
-        "sysreg-probe" => AttackStep::SysregProbe,
-        "pt-forge-probe" => AttackStep::PtForgeProbe,
-        other => return Err(ScenarioError::new(format!("unknown step kind `{other}`"))),
-    };
-    let expect = match t.get_str("expect") {
+    let kind = StepKind::by_name(name)
+        .ok_or_else(|| ScenarioError::new(format!("unknown step kind `{name}`")))?;
+    let values = kind
+        .params
+        .iter()
+        .map(|param| {
+            Ok(match param.default {
+                ParamValue::U64(default) => {
+                    ParamValue::U64(t.read_u64(param.key)?.unwrap_or(default))
+                }
+                ParamValue::Str(default) => {
+                    ParamValue::Str(t.read_str(param.key)?.unwrap_or(default))
+                }
+            })
+        })
+        .collect::<Result<Vec<_>, ScenarioError>>()?;
+    let expect = match t.read_str("expect")? {
         Some(text) => StepExpect::parse(text)
             .ok_or_else(|| ScenarioError::new(format!("unknown expect `{text}`")))?,
         None => StepExpect::Any,
     };
-    Ok(StepSpec { step, expect })
+    Ok(StepSpec {
+        step: (kind.build)(&values),
+        expect,
+    })
 }
 
 fn parse_fault(t: &TomlTable) -> Result<FaultSpec, ScenarioError> {
     let kind_name = t
-        .get_str("kind")
+        .read_str("kind")?
         .ok_or_else(|| ScenarioError::new("missing `kind`"))?;
     let kind = FaultKind::parse(kind_name)
         .ok_or_else(|| ScenarioError::new(format!("unknown fault kind `{kind_name}`")))?;
-    let at = t.get_u64("at").unwrap_or(1);
-    let count = t.get_u64("count").unwrap_or(1);
+    let at = t.read_u64("at")?.unwrap_or(1);
     // `count = -1` reads as "every occurrence from `at` on".
-    let count = if t.get("count").and_then(crate::toml::TomlValue::as_int) == Some(-1) {
+    let count = if t.get("count") == Some(&TomlValue::Int(-1)) {
         u64::MAX
     } else {
-        count
+        t.read_u64("count")?.unwrap_or(1)
     };
-    let param = match kind {
-        FaultKind::DelayIrq => t.get_u64("steps").unwrap_or(1),
-        FaultKind::FlipSnoopAddr => t.get_u64("bit").unwrap_or(12),
-        FaultKind::LoseHypercall => t.get_u64("call").unwrap_or(u64::MAX),
-        _ => 0,
-    };
-    Ok(FaultSpec {
-        kind,
-        at,
-        count,
-        param,
-    })
+    let mut spec = FaultSpec::of_kind(kind, at, count);
+    if let Some(param) = &kind.row().param {
+        spec.param = t.read_u64(param.key)?.unwrap_or(param.default);
+    }
+    Ok(spec)
+}
+
+/// Loads every `*.toml` scenario under `dir`, sorted by file name so
+/// every sweep and artifact derived from the corpus is stable.
+///
+/// # Errors
+///
+/// Returns a message when the directory is unreadable, holds no
+/// scenarios, or any file fails to load.
+pub fn load_corpus(dir: &Path) -> Result<Vec<Scenario>, String> {
+    let paths = toml_files(dir)?;
+    if paths.is_empty() {
+        return Err(format!("no `*.toml` scenarios in `{}`", dir.display()));
+    }
+    paths
+        .iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
+            Scenario::from_toml(&text).map_err(|e| format!("`{}`: {e}", path.display()))
+        })
+        .collect()
+}
+
+/// The `*.toml` files directly under `dir`, sorted by name.
+pub(crate) fn toml_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map_err(|e| format!("cannot read `{}`: {e}", dir.display()))?
+        .filter_map(|entry| entry.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|ext| ext == "toml"))
+        .collect();
+    paths.sort();
+    Ok(paths)
 }
 
 /// A scenario parsing/validation failure.
@@ -510,6 +516,12 @@ fn parse_fault(t: &TomlTable) -> Result<FaultSpec, ScenarioError> {
 pub struct ScenarioError {
     /// Human-readable cause, innermost first.
     pub message: String,
+}
+
+impl From<String> for ScenarioError {
+    fn from(message: String) -> Self {
+        Self::new(message)
+    }
 }
 
 impl ScenarioError {

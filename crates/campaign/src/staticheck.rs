@@ -39,12 +39,14 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use hypernel::Mode;
 use hypernel_hypersec::codes;
-use hypernel_kernel::AttackStep;
+use hypernel_kernel::{AttackStep, StepKind, STEP_KINDS};
 use hypernel_machine::FaultKind;
 use hypernel_telemetry::json::Json;
 
-use crate::coverage::{known_features, mode_key, CoverageMap};
-use crate::scenario::{Scenario, StepExpect};
+use crate::coverage::{known_features, CoverageMap};
+use crate::engine::run_one;
+use crate::explore::with_mode;
+use crate::scenario::{mode_key, Scenario, StepExpect, MODES};
 
 /// Schema version stamped into `static-coverage.json`.
 pub const STATIC_SCHEMA: u64 = 1;
@@ -247,86 +249,93 @@ impl StepPrediction {
     }
 }
 
-/// The monitored-object surface a step's declared span lives in, if the
-/// step has one (mirrors `run_attack_step`'s `monitored` field).
-fn monitored_surface(step: &AttackStep) -> Option<String> {
-    Some(match step {
-        AttackStep::CredEscalation { .. }
-        | AttackStep::DoubleMapCred { .. }
-        | AttackStep::CrossDomainCredTheft { .. } => "monitored/cred".to_string(),
-        AttackStep::DentryHijack { .. } => "monitored/dentry".to_string(),
-        AttackStep::SharedRegionToctou { region } => format!("compose-region/{region}"),
-        AttackStep::ChannelSpoof { channel } => format!("channel-header/{channel}"),
-        _ => return None,
-    })
+/// Where the protection refuses a step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refusal {
+    /// The store lands in every mode.
+    Never,
+    /// Hypernel refuses it: a verified surface denies the whole
+    /// operation (pt-direct-write, with no rule, dies on the read-only
+    /// linear mapping of table pages — an EL1 abort).
+    UnderHypernel,
+    /// Refused in every mode: the step travels over the hypercall
+    /// interface, which Hypersec verifies and NullHyp and KVM refuse at
+    /// the trap itself.
+    Always,
 }
 
-/// The rule names a step kind can fire under Hypernel. Empirically
-/// pinned by the soundness gate: each entry mirrors exactly which
-/// denial the verification surface raises for that operation.
-fn hypernel_rules(step: &AttackStep) -> &'static [&'static str] {
-    match step {
-        AttackStep::MapSecureRegion { .. } => &["secure-mapping"],
-        AttackStep::TtbrRedirect => &["rogue-root"],
-        AttackStep::CodeInjection => &["wxorx"],
-        AttackStep::TextPatch => &["bad-emulated-write", "text-immutable"],
-        AttackStep::AtraCred { .. } | AttackStep::AtraDentry { .. } => &["linear-identity"],
-        AttackStep::DoubleMapCred { .. } => &["linear-identity"],
-        AttackStep::HypercallProbe { .. } => &["unknown-hypercall"],
-        AttackStep::SysregProbe => &["frozen-sysreg"],
-        AttackStep::PtForgeProbe => &["not-a-table"],
-        _ => &[],
-    }
+/// The static transfer of one step: what the protection model does
+/// with it, before the lattice says what is watched.
+struct Transfer {
+    /// The monitored-object surface the step's declared span lives in,
+    /// if any (mirrors `run_attack_step`'s `monitored` field).
+    monitored: Option<String>,
+    /// The rule names the step can fire under Hypernel. Empirically
+    /// pinned by the soundness gate: each entry is exactly the denial
+    /// the verification surface raises for that operation.
+    rules: &'static [&'static str],
+    /// Where the step is refused.
+    refusal: Refusal,
+    /// Whether success leaves a structural trace the whole-system
+    /// static audit reports (forged mappings, rogue roots, W^X breaks,
+    /// non-identity linear leaves) — the source of *expected* `audit`
+    /// oracle firings in the unprotected baseline modes.
+    leaves_audit_findings: bool,
 }
 
-/// Steps whose success leaves a structural trace the whole-system
-/// static audit reports (forged mappings, rogue roots, W^X breaks,
-/// non-identity linear leaves) — the source of *expected* `audit`
-/// oracle firings in the unprotected baseline modes.
-fn leaves_audit_findings(step: &AttackStep) -> bool {
-    matches!(
-        step,
-        AttackStep::MapSecureRegion { .. }
-            | AttackStep::PtDirectWrite { .. }
-            | AttackStep::TtbrRedirect
-            | AttackStep::CodeInjection
-            | AttackStep::TextPatch
-            | AttackStep::AtraCred { .. }
-            | AttackStep::AtraDentry { .. }
-            | AttackStep::DoubleMapCred { .. }
-    )
+/// One exhaustive row per step kind: a new kind does not compile until
+/// its transfer is written here.
+#[rustfmt::skip]
+fn transfer(step: &AttackStep) -> Transfer {
+    use AttackStep as S;
+    use Refusal::{Always, Never, UnderHypernel};
+    let cred = || Some("monitored/cred".to_string());
+    let (monitored, rules, refusal, leaves_audit_findings): (_, &[&str], _, _) = match step {
+        S::CredEscalation { .. } => (cred(), &[], Never, false),
+        S::DentryHijack { .. } => (Some("monitored/dentry".to_string()), &[], Never, false),
+        S::MapSecureRegion { .. } => (None, &["secure-mapping"], UnderHypernel, true),
+        S::PtDirectWrite { .. } => (None, &[], UnderHypernel, true),
+        S::TtbrRedirect => (None, &["rogue-root"], UnderHypernel, true),
+        S::CodeInjection => (None, &["wxorx"], UnderHypernel, true),
+        S::TextPatch => (None, &["bad-emulated-write", "text-immutable"], UnderHypernel, true),
+        S::AtraCred { .. } => (None, &["linear-identity"], UnderHypernel, true),
+        S::AtraDentry { .. } => (None, &["linear-identity"], UnderHypernel, true),
+        S::DoubleMapCred { .. } => (cred(), &["linear-identity"], UnderHypernel, true),
+        S::CrossDomainCredTheft { .. } => (cred(), &[], Never, false),
+        S::SharedRegionToctou { region } => {
+            (Some(format!("compose-region/{region}")), &[], Never, false)
+        }
+        S::ChannelSpoof { channel } => {
+            (Some(format!("channel-header/{channel}")), &[], Never, false)
+        }
+        S::HypercallProbe { .. } => (None, &["unknown-hypercall"], Always, false),
+        S::SysregProbe => (None, &["frozen-sysreg"], UnderHypernel, false),
+        S::PtForgeProbe => (None, &["not-a-table"], Always, false),
+    };
+    Transfer { monitored, rules, refusal, leaves_audit_findings }
 }
 
 /// Abstractly interprets one step against the lattice.
 pub fn predict_step(state: &AbstractState, index: usize, step: &AttackStep) -> StepPrediction {
     let hypernel = state.mode == Mode::Hypernel;
+    let transfer = transfer(step);
     let mut outcomes: BTreeSet<&'static str> = BTreeSet::new();
     let mut rules: BTreeSet<&'static str> = BTreeSet::new();
 
     if hypernel {
-        for rule in hypernel_rules(step) {
-            rules.insert(rule);
-        }
+        rules.extend(transfer.rules);
     }
 
-    let blocked_under_hypernel =
-        !hypernel_rules(step).is_empty() || matches!(step, AttackStep::PtDirectWrite { .. });
-    if hypernel && blocked_under_hypernel {
-        // Every verified surface denies the whole operation: the store
-        // never lands (pt-direct-write dies on the read-only linear
-        // mapping of table pages — an EL1 abort, no rule).
-        outcomes.insert("blocked");
-    } else if matches!(
-        step,
-        AttackStep::HypercallProbe { .. } | AttackStep::PtForgeProbe
-    ) {
-        // Probes that travel over the hypercall interface are refused
-        // in every mode: Hypersec denies them at a verification
-        // surface, NullHyp and KVM refuse the trap itself.
+    let blocked = match transfer.refusal {
+        Refusal::Always => true,
+        Refusal::UnderHypernel => hypernel,
+        Refusal::Never => false,
+    };
+    if blocked {
         outcomes.insert("blocked");
     } else {
         // The store lands. Detection needs a watched span.
-        let watched = monitored_surface(step).is_some_and(|s| state.is_watched(&s));
+        let watched = transfer.monitored.is_some_and(|s| state.is_watched(&s));
         if watched {
             outcomes.insert("detected");
         }
@@ -485,7 +494,7 @@ pub fn predict_scenario(scenario: &Scenario) -> Prediction {
         }
     } else {
         for (spec, pred) in scenario.steps.iter().zip(&steps) {
-            let Some(surface) = monitored_surface(&scenario.steps[pred.index].step) else {
+            let Some(surface) = transfer(&scenario.steps[pred.index].step).monitored else {
                 continue;
             };
             if !pred.can_succeed() {
@@ -542,7 +551,7 @@ pub fn predict_scenario(scenario: &Scenario) -> Prediction {
         && scenario
             .steps
             .iter()
-            .any(|spec| leaves_audit_findings(&spec.step))
+            .any(|spec| transfer(&spec.step).leaves_audit_findings)
     {
         possible.insert("oracle/audit/expected".to_string());
     }
@@ -608,31 +617,14 @@ pub fn testonly_miswire(prediction: &Prediction) -> Prediction {
 }
 
 /// The attacker step vocabulary with canonical parameters — what the
-/// reachability sweep and the steering generator draw from.
+/// reachability sweep and the steering generator draw from: every
+/// step kind that needs no composed system, at its loader defaults.
 pub fn step_vocabulary() -> Vec<AttackStep> {
-    vec![
-        AttackStep::CredEscalation { pid: 1 },
-        AttackStep::DentryHijack {
-            path: "/bin/sh".to_string(),
-            rogue_inode: 0xBAD,
-        },
-        AttackStep::MapSecureRegion { pid: 1 },
-        AttackStep::PtDirectWrite {
-            pid: 1,
-            value: 0xBAD,
-        },
-        AttackStep::TtbrRedirect,
-        AttackStep::CodeInjection,
-        AttackStep::TextPatch,
-        AttackStep::AtraCred { pid: 1 },
-        AttackStep::AtraDentry {
-            path: "/bin/sh".to_string(),
-        },
-        AttackStep::DoubleMapCred { pid: 1 },
-        AttackStep::HypercallProbe { nr: 0xDEAD },
-        AttackStep::SysregProbe,
-        AttackStep::PtForgeProbe,
-    ]
+    STEP_KINDS
+        .iter()
+        .filter(|kind| !kind.composed())
+        .map(StepKind::default_step)
+        .collect()
 }
 
 /// Every rule name any vocabulary step can fire in `mode` — the
@@ -642,28 +634,21 @@ pub fn reachable_rules(mode: Mode) -> BTreeSet<&'static str> {
     let mut out = BTreeSet::new();
     if mode == Mode::Hypernel {
         for step in step_vocabulary() {
-            out.extend(hypernel_rules(&step).iter().copied());
+            out.extend(transfer(&step).rules);
         }
     }
     out
 }
 
-/// The canonical attack step that fires `rule` under Hypernel, if the
-/// EL1 attacker vocabulary can reach it at all (boot-phase and
-/// device-interface rules like `bad-phase` or `no-stage2` have no
-/// post-LOCK EL1 trigger).
+/// The canonical attack step that fires `rule` under Hypernel — the
+/// first vocabulary step whose rules contain it — if the EL1 attacker
+/// vocabulary can reach it at all (boot-phase and device-interface
+/// rules like `bad-phase` or `no-stage2` have no post-LOCK EL1
+/// trigger).
 pub fn step_for_rule(rule: &str) -> Option<AttackStep> {
-    Some(match rule {
-        "unknown-hypercall" => AttackStep::HypercallProbe { nr: 0xDEAD },
-        "frozen-sysreg" => AttackStep::SysregProbe,
-        "not-a-table" => AttackStep::PtForgeProbe,
-        "secure-mapping" => AttackStep::MapSecureRegion { pid: 1 },
-        "rogue-root" => AttackStep::TtbrRedirect,
-        "wxorx" => AttackStep::CodeInjection,
-        "text-immutable" | "bad-emulated-write" => AttackStep::TextPatch,
-        "linear-identity" => AttackStep::AtraCred { pid: 1 },
-        _ => return None,
-    })
+    step_vocabulary()
+        .into_iter()
+        .find(|step| transfer(step).rules.contains(&rule))
 }
 
 /// Statically-reachable-but-unfired rule *keys*, ranked: rules with a
@@ -682,6 +667,127 @@ pub fn ranked_targets(fired: &BTreeSet<String>) -> Vec<String> {
         .collect();
     targets.sort();
     targets.into_iter().map(|(_, key)| key).collect()
+}
+
+/// Re-targets `base` at `mode`: the scenario itself when the mode
+/// already matches, otherwise the same expectation-rewriting remode the
+/// explore loop uses (so the gate never manufactures expectations the
+/// dynamic oracles would reject by construction).
+pub fn remode(base: &Scenario, mode: Mode) -> Scenario {
+    if base.mode == mode {
+        base.clone()
+    } else {
+        with_mode(base, mode)
+    }
+}
+
+/// Whole-corpus prediction sharded over `jobs` threads. The prediction
+/// of one scenario is a pure function, so the shard boundaries cannot
+/// change the result; shards are merged back in corpus name order and
+/// the output is byte-identical at any job count.
+pub fn predict_corpus_jobs(corpus: &[Scenario], jobs: usize) -> Vec<Prediction> {
+    let jobs = jobs.max(1);
+    if jobs == 1 || corpus.len() <= 1 {
+        return predict_corpus(corpus);
+    }
+    let mut sorted: Vec<&Scenario> = corpus.iter().collect();
+    sorted.sort_by(|a, b| a.name.cmp(&b.name));
+    let chunk = sorted.len().div_ceil(jobs);
+    let mut out: Vec<Prediction> = Vec::with_capacity(sorted.len());
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = sorted
+            .chunks(chunk)
+            .map(|shard| {
+                scope.spawn(move || {
+                    shard
+                        .iter()
+                        .map(|s| predict_scenario(s))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for handle in handles {
+            out.extend(handle.join().expect("prediction shard panicked"));
+        }
+    });
+    out
+}
+
+/// One soundness-contract breach: a dynamically observed contract key
+/// the static prediction did not allow.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Breach {
+    /// Scenario name (after remoding — the name is unchanged).
+    pub scenario: String,
+    /// Mode the run executed under.
+    pub mode: Mode,
+    /// Seed of the breaching run.
+    pub seed: u64,
+    /// The contract keys outside the prediction.
+    pub excess: Vec<String>,
+}
+
+/// The outcome of one differential soundness sweep.
+#[derive(Debug, Clone, Default)]
+pub struct SoundnessReport {
+    /// Runs whose dynamic coverage escaped the static prediction.
+    pub breaches: Vec<Breach>,
+    /// `(scenario, mode, seed, error)` runs the engine could not
+    /// execute at all (a re-moded scenario can be non-executable —
+    /// e.g. a TTBR redirect that the baseline never refuses leaves the
+    /// machine faulting). No coverage exists, so no soundness claim is
+    /// made; reported so a gate log shows exactly what was exercised.
+    pub skipped: Vec<(String, Mode, u64, String)>,
+    /// Total runs attempted.
+    pub runs: u64,
+}
+
+/// Runs the differential soundness gate: every corpus scenario ×
+/// every mode in [`MODES`] × seeds `0..seeds`, checking that the
+/// dynamic contract-namespace coverage of each run is ⊆ the static
+/// prediction of the (re-moded) scenario. An empty `breaches` is a
+/// green gate; any [`Breach`] is an analyzer soundness bug — or, for
+/// the deliberately-impossible protection-invariant keys, a real
+/// protection bug.
+pub fn soundness_sweep(corpus: &[Scenario], seeds: u64) -> SoundnessReport {
+    let mut report = SoundnessReport::default();
+    for base in corpus {
+        for (mode, _) in MODES {
+            let scenario = remode(base, mode);
+            let prediction = predict_scenario(&scenario);
+            for seed in 0..seeds {
+                report.runs += 1;
+                let record = match run_one(&scenario, seed) {
+                    Ok(record) => record,
+                    Err(e) => {
+                        report
+                            .skipped
+                            .push((scenario.name.clone(), mode, seed, e.to_string()));
+                        continue;
+                    }
+                };
+                let Some(coverage) = record.coverage else {
+                    report.skipped.push((
+                        scenario.name.clone(),
+                        mode,
+                        seed,
+                        "run carried no coverage map".to_string(),
+                    ));
+                    continue;
+                };
+                let excess = soundness_excess(&prediction, &coverage);
+                if !excess.is_empty() {
+                    report.breaches.push(Breach {
+                        scenario: scenario.name.clone(),
+                        mode,
+                        seed,
+                        excess,
+                    });
+                }
+            }
+        }
+    }
+    report
 }
 
 // ---------------------------------------------------------------------
@@ -753,18 +859,13 @@ pub fn static_coverage_json(predictions: &[Prediction]) -> Json {
             )
         })
         .collect();
-    let reachable = crate::coverage::MODES
+    let reachable = MODES
         .iter()
-        .map(|mode| {
-            let m = match *mode {
-                "native" => Mode::Native,
-                "kvm" => Mode::KvmGuest,
-                _ => Mode::Hypernel,
-            };
+        .map(|(mode, key)| {
             (
-                (*mode).to_string(),
+                (*key).to_string(),
                 Json::Array(
-                    reachable_rules(m)
+                    reachable_rules(*mode)
                         .into_iter()
                         .map(|r| Json::str(&format!("hypersec/rule/{r}")))
                         .collect(),
@@ -994,5 +1095,52 @@ mod tests {
         assert!(universe.contains(&"oracle/none".to_string()));
         assert!(universe.contains(&"kernel/attack/sysreg-probe/blocked".to_string()));
         assert!(!universe.contains(&"machine/trap/hypercall".to_string()));
+    }
+
+    fn corpus() -> Vec<Scenario> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+        crate::scenario::load_corpus(&dir).expect("corpus loads")
+    }
+
+    #[test]
+    fn the_shipped_corpus_loads_and_predicts() {
+        let corpus = corpus();
+        assert!(corpus.len() >= 17, "corpus shrank to {}", corpus.len());
+        let predictions = predict_corpus(&corpus);
+        assert_eq!(predictions.len(), corpus.len());
+        // Name-sorted, and every prediction is non-trivial.
+        for pair in predictions.windows(2) {
+            assert!(pair[0].scenario < pair[1].scenario);
+        }
+        for p in &predictions {
+            assert!(!p.possible.is_empty(), "`{}` predicts nothing", p.scenario);
+        }
+    }
+
+    #[test]
+    fn job_count_does_not_change_the_artifact() {
+        let corpus = corpus();
+        let one = static_coverage_json(&predict_corpus_jobs(&corpus, 1)).to_string();
+        for jobs in [2, 3, 8, 64] {
+            let many = static_coverage_json(&predict_corpus_jobs(&corpus, jobs)).to_string();
+            assert_eq!(one, many, "--jobs {jobs} changed the artifact bytes");
+        }
+    }
+
+    #[test]
+    fn remode_is_identity_on_matching_mode() {
+        for base in &corpus() {
+            assert_eq!(remode(base, base.mode), *base);
+        }
+    }
+
+    #[test]
+    fn every_ruled_step_is_refused_under_hypernel() {
+        for step in step_vocabulary() {
+            let transfer = transfer(&step);
+            if !transfer.rules.is_empty() {
+                assert_ne!(transfer.refusal, Refusal::Never, "{}", step.name());
+            }
+        }
     }
 }

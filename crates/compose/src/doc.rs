@@ -116,8 +116,14 @@ impl fmt::Display for ComposeError {
 
 impl std::error::Error for ComposeError {}
 
+impl From<String> for ComposeError {
+    fn from(message: String) -> Self {
+        Self::new(message)
+    }
+}
+
 fn require_str(t: &TomlTable, key: &str) -> Result<String, ComposeError> {
-    t.get_str(key)
+    t.read_str(key)?
         .map(str::to_string)
         .ok_or_else(|| ComposeError::new(format!("missing `{key}`")))
 }
@@ -142,7 +148,10 @@ impl ComposeDoc {
         }
         let mut out = Self::default();
         if let Some(t) = doc.table("compose") {
-            out.watch = t.get_bool("watch").unwrap_or(true);
+            out.watch = t
+                .read_bool("watch")
+                .map_err(|e| ComposeError::new(e).context("[compose]"))?
+                .unwrap_or(true);
         }
         for (i, t) in doc.array("domain").iter().enumerate() {
             let decl = parse_domain(t).map_err(|e| e.context(format!("domain {}", i + 1)))?;
@@ -359,7 +368,7 @@ fn check_duplicates<'a>(
 }
 
 fn parse_domain(t: &TomlTable) -> Result<DomainDecl, ComposeError> {
-    let role = match t.get_str("role").unwrap_or("client") {
+    let role = match t.read_str("role")?.unwrap_or("client") {
         "server" => DomainRole::Server,
         "client" => DomainRole::Client,
         other => {
@@ -371,8 +380,8 @@ fn parse_domain(t: &TomlTable) -> Result<DomainDecl, ComposeError> {
     Ok(DomainDecl {
         name: require_str(t, "name")?,
         role,
-        priority: t.get_u64("priority").unwrap_or(0),
-        tasks: t.get_u64("tasks").unwrap_or(1),
+        priority: t.read_u64("priority")?.unwrap_or(0),
+        tasks: t.read_u64("tasks")?.unwrap_or(1),
     })
 }
 
@@ -381,7 +390,7 @@ fn parse_channel(t: &TomlTable) -> Result<ChannelDecl, ComposeError> {
         name: require_str(t, "name")?,
         from: require_str(t, "from")?,
         to: require_str(t, "to")?,
-        capacity: t.get_u64("capacity").unwrap_or(16),
+        capacity: t.read_u64("capacity")?.unwrap_or(16),
     })
 }
 
@@ -402,9 +411,9 @@ fn parse_region(t: &TomlTable) -> Result<RegionDecl, ComposeError> {
         name: require_str(t, "name")?,
         owner: require_str(t, "owner")?,
         share,
-        pages: t.get_u64("pages").unwrap_or(1),
-        protect: t.get_bool("protect").unwrap_or(false),
-        va: t.get_u64("va"),
+        pages: t.read_u64("pages")?.unwrap_or(1),
+        protect: t.read_bool("protect")?.unwrap_or(false),
+        va: t.read_u64("va")?,
     })
 }
 

@@ -8,6 +8,7 @@
 //! both formats (see `docs/COMPOSE.md` and `docs/CAMPAIGN.md`);
 //! anything fancier is a parse error, not silently misread.
 
+use std::cell::RefCell;
 use std::fmt;
 
 /// A parsed TOML value.
@@ -56,7 +57,12 @@ impl TomlValue {
 
 /// A table: scalar entries plus named sub-tables and arrays-of-tables,
 /// in file order.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The accessors remember what they are asked for, so after a loader
+/// has run, [`TomlTable::unread`] lists what it never looked at: the
+/// loaders stay lenient about unknown keys and the linter reports them
+/// from this one record.
+#[derive(Debug, Clone, Default)]
 pub struct TomlTable {
     /// `key = value` pairs.
     pub values: Vec<(String, TomlValue)>,
@@ -64,41 +70,143 @@ pub struct TomlTable {
     pub tables: Vec<(String, TomlTable)>,
     /// `[[name]]` arrays of tables.
     pub arrays: Vec<(String, Vec<TomlTable>)>,
+    /// Indices into `values` of the keys looked up so far.
+    read_values: RefCell<Vec<usize>>,
+    /// `(is_array, name)` of every section looked up so far, present or
+    /// not, in first-lookup order.
+    read_sections: RefCell<Vec<(bool, &'static str)>>,
+}
+
+/// Something in a document that no loader read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Unread {
+    /// A key, with its section labelled the way loader errors label it
+    /// (`top level`, `[metrics]`, `step 2`).
+    Key {
+        /// Section label.
+        section: String,
+        /// The key.
+        key: String,
+    },
+    /// A whole `[name]` table.
+    Table(String),
+    /// A whole `[[name]]` array of tables.
+    Array(String),
 }
 
 impl TomlTable {
+    fn section_read(&self, is_array: bool, name: &str) -> bool {
+        self.read_sections.borrow().contains(&(is_array, name))
+    }
+
+    fn mark_section(&self, is_array: bool, name: &'static str) {
+        if !self.section_read(is_array, name) {
+            self.read_sections.borrow_mut().push((is_array, name));
+        }
+    }
+
     /// Scalar value for `key`.
     pub fn get(&self, key: &str) -> Option<&TomlValue> {
-        self.values.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        let index = self.values.iter().position(|(k, _)| k == key)?;
+        let mut read = self.read_values.borrow_mut();
+        if !read.contains(&index) {
+            read.push(index);
+        }
+        Some(&self.values[index].1)
     }
 
-    /// String value for `key`.
-    pub fn get_str(&self, key: &str) -> Option<&str> {
-        self.get(key).and_then(TomlValue::as_str)
+    /// String value for `key`; `Ok(None)` when absent, an error naming
+    /// the key when it holds another type.
+    pub fn read_str(&self, key: &str) -> Result<Option<&str>, String> {
+        self.read_as(key, TomlValue::as_str, "a string")
     }
 
-    /// Non-negative integer value for `key`.
-    pub fn get_u64(&self, key: &str) -> Option<u64> {
-        self.get(key).and_then(TomlValue::as_u64)
+    /// Non-negative integer value for `key`; `Ok(None)` when absent, an
+    /// error naming the key when it holds anything else.
+    pub fn read_u64(&self, key: &str) -> Result<Option<u64>, String> {
+        self.read_as(key, TomlValue::as_u64, "a non-negative integer")
     }
 
-    /// Boolean value for `key`.
-    pub fn get_bool(&self, key: &str) -> Option<bool> {
-        self.get(key).and_then(TomlValue::as_bool)
+    /// Boolean value for `key`; `Ok(None)` when absent, an error naming
+    /// the key when it holds another type.
+    pub fn read_bool(&self, key: &str) -> Result<Option<bool>, String> {
+        self.read_as(key, TomlValue::as_bool, "a boolean")
+    }
+
+    fn read_as<'a, T>(
+        &'a self,
+        key: &str,
+        cast: impl Fn(&'a TomlValue) -> Option<T>,
+        what: &str,
+    ) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|value| cast(value).ok_or_else(|| format!("`{key}` must be {what}")))
+            .transpose()
     }
 
     /// Sub-table `[name]`.
-    pub fn table(&self, name: &str) -> Option<&TomlTable> {
+    pub fn table(&self, name: &'static str) -> Option<&TomlTable> {
+        self.mark_section(false, name);
         self.tables.iter().find(|(k, _)| k == name).map(|(_, t)| t)
     }
 
     /// Array-of-tables `[[name]]` (empty slice if absent).
-    pub fn array(&self, name: &str) -> &[TomlTable] {
+    pub fn array(&self, name: &'static str) -> &[TomlTable] {
+        self.mark_section(true, name);
         self.arrays
             .iter()
             .find(|(k, _)| k == name)
             .map(|(_, a)| a.as_slice())
             .unwrap_or(&[])
+    }
+
+    /// The `[table]` then `[[array]]` headers looked up so far, each in
+    /// lookup order: the sections a loader that has run knows about.
+    pub fn sections_read(&self) -> Vec<String> {
+        let mut read = self.read_sections.borrow().clone();
+        read.sort_by_key(|(is_array, _)| *is_array);
+        read.into_iter()
+            .map(|(is_array, name)| match is_array {
+                true => format!("[[{name}]]"),
+                false => format!("[{name}]"),
+            })
+            .collect()
+    }
+
+    /// Everything in the document no accessor has read, in file order:
+    /// top-level keys, then each table, then each array element.
+    pub fn unread(&self) -> Vec<Unread> {
+        let mut out = Vec::new();
+        self.unread_keys("top level", &mut out);
+        for (name, table) in &self.tables {
+            if self.section_read(false, name) {
+                table.unread_keys(&format!("[{name}]"), &mut out);
+            } else {
+                out.push(Unread::Table(name.clone()));
+            }
+        }
+        for (name, tables) in &self.arrays {
+            if self.section_read(true, name) {
+                for (i, table) in tables.iter().enumerate() {
+                    table.unread_keys(&format!("{name} {}", i + 1), &mut out);
+                }
+            } else {
+                out.push(Unread::Array(name.clone()));
+            }
+        }
+        out
+    }
+
+    fn unread_keys(&self, section: &str, out: &mut Vec<Unread>) {
+        let read = self.read_values.borrow();
+        for (index, (key, _)) in self.values.iter().enumerate() {
+            if !read.contains(&index) {
+                out.push(Unread::Key {
+                    section: section.to_string(),
+                    key: key.clone(),
+                });
+            }
+        }
     }
 }
 
@@ -314,9 +422,9 @@ mod tests {
             "#,
         )
         .expect("parses");
-        assert_eq!(doc.get_str("name"), Some("drop-irq"));
-        assert_eq!(doc.get_u64("seeds"), Some(64));
-        assert_eq!(doc.get_bool("enabled"), Some(true));
+        assert_eq!(doc.read_str("name"), Ok(Some("drop-irq")));
+        assert_eq!(doc.read_u64("seeds"), Ok(Some(64)));
+        assert_eq!(doc.read_bool("enabled"), Ok(Some(true)));
         assert_eq!(
             doc.get("bits"),
             Some(&TomlValue::Array(vec![
@@ -326,14 +434,14 @@ mod tests {
             ]))
         );
         assert_eq!(
-            doc.table("limits").unwrap().get_u64("latency-bound"),
-            Some(200_000)
+            doc.table("limits").unwrap().read_u64("latency-bound"),
+            Ok(Some(200_000))
         );
         let steps = doc.array("step");
         assert_eq!(steps.len(), 2);
-        assert_eq!(steps[0].get_str("kind"), Some("cred-escalation"));
-        assert_eq!(steps[0].get_u64("pid"), Some(1));
-        assert_eq!(steps[1].get_str("kind"), Some("text-patch"));
+        assert_eq!(steps[0].read_str("kind"), Ok(Some("cred-escalation")));
+        assert_eq!(steps[0].read_u64("pid"), Ok(Some(1)));
+        assert_eq!(steps[1].read_str("kind"), Ok(Some("text-patch")));
         assert_eq!(doc.array("fault").len(), 1);
         assert_eq!(doc.array("missing").len(), 0);
     }
@@ -344,13 +452,48 @@ mod tests {
         assert_eq!(doc.get("a"), Some(&TomlValue::Int(255)));
         assert_eq!(doc.get("b"), Some(&TomlValue::Int(-3)));
         assert_eq!(doc.get("c"), Some(&TomlValue::Int(1000)));
-        assert_eq!(doc.get_u64("b"), None, "negative is not a u64");
+        assert!(doc.read_u64("b").is_err(), "negative is not a u64");
+        assert!(doc.read_str("a").unwrap_err().contains("`a`"));
+        assert_eq!(doc.read_u64("absent"), Ok(None));
+    }
+
+    #[test]
+    fn unread_lists_what_no_accessor_looked_at() {
+        let doc = parse(
+            "name = \"x\"\ntypo = 1\n[known]\nk = 1\nstray = 2\n[other]\n[[item]]\nk = 1\n[[junk]]",
+        )
+        .expect("parses");
+        doc.get("name");
+        if let Some(known) = doc.table("known") {
+            known.get("k");
+        }
+        for item in doc.array("item") {
+            item.get("k");
+        }
+        doc.table("never-present");
+        let key = |section: &str, key: &str| Unread::Key {
+            section: section.to_string(),
+            key: key.to_string(),
+        };
+        assert_eq!(
+            doc.unread(),
+            vec![
+                key("top level", "typo"),
+                key("[known]", "stray"),
+                Unread::Table("other".to_string()),
+                Unread::Array("junk".to_string()),
+            ]
+        );
+        assert_eq!(
+            doc.sections_read(),
+            vec!["[known]", "[never-present]", "[[item]]"]
+        );
     }
 
     #[test]
     fn hash_inside_string_is_not_a_comment() {
         let doc = parse(r##"path = "/tmp/#x""##).expect("parses");
-        assert_eq!(doc.get_str("path"), Some("/tmp/#x"));
+        assert_eq!(doc.read_str("path"), Ok(Some("/tmp/#x")));
     }
 
     #[test]

@@ -141,27 +141,204 @@ pub enum AttackStep {
     PtForgeProbe,
 }
 
+/// One parameter value of an [`AttackStep`]: an integer or a borrowed
+/// string. A parameter's type is the variant of its default.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParamValue<'a> {
+    /// A non-negative integer.
+    U64(u64),
+    /// A string.
+    Str(&'a str),
+}
+
+impl ParamValue<'_> {
+    fn int(self) -> u64 {
+        match self {
+            Self::U64(v) => v,
+            Self::Str(_) => 0,
+        }
+    }
+
+    fn text(self) -> String {
+        match self {
+            Self::Str(s) => s.to_string(),
+            Self::U64(v) => v.to_string(),
+        }
+    }
+}
+
+/// The composed-system entity a step parameter names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ComposeRef {
+    /// A `[[domain]]`.
+    Domain,
+    /// A `[[region]]`.
+    Region,
+    /// A `[[channel]]`.
+    Channel,
+}
+
+impl ComposeRef {
+    /// The section name of the entity (`domain`, `region`, `channel`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Domain => "domain",
+            Self::Region => "region",
+            Self::Channel => "channel",
+        }
+    }
+}
+
+/// One parameter of a step kind.
+#[derive(Debug)]
+pub struct StepParam {
+    /// Scenario-file key.
+    pub key: &'static str,
+    /// Value the loader uses when the key is absent; its variant is
+    /// the parameter's type.
+    pub default: ParamValue<'static>,
+    /// The composed entity the value names, if any.
+    pub refers_to: Option<ComposeRef>,
+}
+
+/// One row of [`STEP_KINDS`]: a step kind's name and parameters.
+#[derive(Debug)]
+pub struct StepKind {
+    /// Stable kebab-case identifier (scenario files and run records).
+    pub name: &'static str,
+    /// Parameters, in scenario-file order.
+    pub params: &'static [StepParam],
+    /// Builds the step from one value per parameter, in `params` order,
+    /// each typed like that parameter's default (the loader checks
+    /// this; a mistyped value reads as 0 or its decimal text).
+    pub build: fn(&[ParamValue<'_>]) -> AttackStep,
+}
+
+impl StepKind {
+    /// The row named `name`.
+    pub fn by_name(name: &str) -> Option<&'static StepKind> {
+        STEP_KINDS.iter().find(|kind| kind.name == name)
+    }
+
+    /// Whether the step targets a composed system (some parameter
+    /// names a composed entity).
+    pub fn composed(&self) -> bool {
+        self.params.iter().any(|p| p.refers_to.is_some())
+    }
+
+    /// The step with every parameter at its default.
+    pub fn default_step(&self) -> AttackStep {
+        let defaults: Vec<ParamValue<'_>> = self.params.iter().map(|p| p.default).collect();
+        (self.build)(&defaults)
+    }
+}
+
+const fn row(
+    name: &'static str,
+    params: &'static [StepParam],
+    build: fn(&[ParamValue<'_>]) -> AttackStep,
+) -> StepKind {
+    StepKind {
+        name,
+        params,
+        build,
+    }
+}
+
+const fn int(key: &'static str, default: u64) -> StepParam {
+    StepParam {
+        key,
+        default: ParamValue::U64(default),
+        refers_to: None,
+    }
+}
+
+const fn entity(key: &'static str, default: &'static str, to: ComposeRef) -> StepParam {
+    StepParam {
+        key,
+        default: ParamValue::Str(default),
+        refers_to: Some(to),
+    }
+}
+
+const PID: StepParam = int("pid", 1);
+const PATH: StepParam = StepParam {
+    key: "path",
+    default: ParamValue::Str("/bin/sh"),
+    refers_to: None,
+};
+
+/// Every attack-step kind, in [`AttackStep`] variant order — the one
+/// description the scenario loader, serializer, linter, coverage
+/// universe and static vocabulary derive from.
+#[rustfmt::skip]
+pub const STEP_KINDS: &[StepKind] = &[
+    row("cred-escalation", &[PID], |v| AttackStep::CredEscalation { pid: v[0].int() }),
+    row("dentry-hijack", &[PATH, int("rogue-inode", 0xBAD)], |v| AttackStep::DentryHijack {
+        path: v[0].text(),
+        rogue_inode: v[1].int(),
+    }),
+    row("map-secure-region", &[PID], |v| AttackStep::MapSecureRegion { pid: v[0].int() }),
+    row("pt-direct-write", &[PID, int("value", 0xBAD)], |v| AttackStep::PtDirectWrite {
+        pid: v[0].int(),
+        value: v[1].int(),
+    }),
+    row("ttbr-redirect", &[], |_| AttackStep::TtbrRedirect),
+    row("code-injection", &[], |_| AttackStep::CodeInjection),
+    row("text-patch", &[], |_| AttackStep::TextPatch),
+    row("atra-cred", &[PID], |v| AttackStep::AtraCred { pid: v[0].int() }),
+    row("atra-dentry", &[PATH], |v| AttackStep::AtraDentry { path: v[0].text() }),
+    row("double-map-cred", &[PID], |v| AttackStep::DoubleMapCred { pid: v[0].int() }),
+    row(
+        "cross-domain-cred-theft",
+        &[
+            entity("attacker", "client", ComposeRef::Domain),
+            entity("victim", "server", ComposeRef::Domain),
+        ],
+        |v| AttackStep::CrossDomainCredTheft { attacker: v[0].text(), victim: v[1].text() },
+    ),
+    row("shared-region-toctou", &[entity("region", "shared", ComposeRef::Region)], |v| {
+        AttackStep::SharedRegionToctou { region: v[0].text() }
+    }),
+    row("channel-spoof", &[entity("channel", "chan", ComposeRef::Channel)], |v| {
+        AttackStep::ChannelSpoof { channel: v[0].text() }
+    }),
+    row("hypercall-probe", &[int("nr", 0xDEAD)], |v| AttackStep::HypercallProbe { nr: v[0].int() }),
+    row("sysreg-probe", &[], |_| AttackStep::SysregProbe),
+    row("pt-forge-probe", &[], |_| AttackStep::PtForgeProbe),
+];
+
 impl AttackStep {
+    /// This step's [`STEP_KINDS`] row and its parameter values, in the
+    /// row's parameter order.
+    pub fn describe(&self) -> (&'static StepKind, Vec<ParamValue<'_>>) {
+        use ParamValue::{Str, U64};
+        let (row, values) = match self {
+            Self::CredEscalation { pid } => (0, vec![U64(*pid)]),
+            Self::DentryHijack { path, rogue_inode } => (1, vec![Str(path), U64(*rogue_inode)]),
+            Self::MapSecureRegion { pid } => (2, vec![U64(*pid)]),
+            Self::PtDirectWrite { pid, value } => (3, vec![U64(*pid), U64(*value)]),
+            Self::TtbrRedirect => (4, vec![]),
+            Self::CodeInjection => (5, vec![]),
+            Self::TextPatch => (6, vec![]),
+            Self::AtraCred { pid } => (7, vec![U64(*pid)]),
+            Self::AtraDentry { path } => (8, vec![Str(path)]),
+            Self::DoubleMapCred { pid } => (9, vec![U64(*pid)]),
+            Self::CrossDomainCredTheft { attacker, victim } => {
+                (10, vec![Str(attacker), Str(victim)])
+            }
+            Self::SharedRegionToctou { region } => (11, vec![Str(region)]),
+            Self::ChannelSpoof { channel } => (12, vec![Str(channel)]),
+            Self::HypercallProbe { nr } => (13, vec![U64(*nr)]),
+            Self::SysregProbe => (14, vec![]),
+            Self::PtForgeProbe => (15, vec![]),
+        };
+        (&STEP_KINDS[row], values)
+    }
+
     /// Stable kebab-case identifier (scenario files and run records).
     pub fn name(&self) -> &'static str {
-        match self {
-            Self::CredEscalation { .. } => "cred-escalation",
-            Self::DentryHijack { .. } => "dentry-hijack",
-            Self::MapSecureRegion { .. } => "map-secure-region",
-            Self::PtDirectWrite { .. } => "pt-direct-write",
-            Self::TtbrRedirect => "ttbr-redirect",
-            Self::CodeInjection => "code-injection",
-            Self::TextPatch => "text-patch",
-            Self::AtraCred { .. } => "atra-cred",
-            Self::AtraDentry { .. } => "atra-dentry",
-            Self::DoubleMapCred { .. } => "double-map-cred",
-            Self::CrossDomainCredTheft { .. } => "cross-domain-cred-theft",
-            Self::SharedRegionToctou { .. } => "shared-region-toctou",
-            Self::ChannelSpoof { .. } => "channel-spoof",
-            Self::HypercallProbe { .. } => "hypercall-probe",
-            Self::SysregProbe => "sysreg-probe",
-            Self::PtForgeProbe => "pt-forge-probe",
-        }
+        self.describe().0.name
     }
 }
 
@@ -982,6 +1159,30 @@ mod tests {
             .name(),
             "atra-dentry"
         );
+    }
+
+    #[test]
+    fn every_row_builds_the_step_it_describes() {
+        for kind in STEP_KINDS {
+            let step = kind.default_step();
+            let (row, values) = step.describe();
+            assert_eq!(row.name, kind.name, "row order drifted from the variants");
+            assert_eq!(values.len(), kind.params.len(), "{}", kind.name);
+            for (param, value) in kind.params.iter().zip(&values) {
+                assert_eq!(
+                    std::mem::discriminant(&param.default),
+                    std::mem::discriminant(value),
+                    "{}: `{}` is typed unlike its default",
+                    kind.name,
+                    param.key
+                );
+            }
+            assert_eq!((kind.build)(&values), step);
+            assert_eq!(
+                StepKind::by_name(kind.name).map(|k| k.name),
+                Some(kind.name)
+            );
+        }
     }
 
     #[test]

@@ -18,7 +18,9 @@ pub mod sched;
 pub mod slab;
 pub mod task;
 
-pub use attack::{AttackOutcome, AttackStep, StepResult};
+pub use attack::{
+    AttackOutcome, AttackStep, ComposeRef, ParamValue, StepKind, StepParam, StepResult, STEP_KINDS,
+};
 pub use compose::{
     ChannelInfo, ComposeState, ComposeStats, DomainInfo, DomainRole, RegionInfo, MAX_CHANNELS,
 };

@@ -51,30 +51,72 @@ pub enum FaultKind {
     DesyncBitmap,
 }
 
+/// The parameter a fault kind takes: its scenario-file key and the
+/// value used when the key is absent.
+#[derive(Debug)]
+pub struct FaultParam {
+    /// Scenario-file key.
+    pub key: &'static str,
+    /// Default value.
+    pub default: u64,
+}
+
+/// One row of [`FAULT_KINDS`]: a fault kind's name and parameter.
+#[derive(Debug)]
+pub struct FaultRow {
+    /// The kind.
+    pub kind: FaultKind,
+    /// Stable machine-readable name (used by scenario TOML and reports).
+    pub name: &'static str,
+    /// The kind-specific parameter, if the kind takes one.
+    pub param: Option<FaultParam>,
+}
+
+const fn row(kind: FaultKind, name: &'static str, param: Option<FaultParam>) -> FaultRow {
+    FaultRow { kind, name, param }
+}
+
+const fn param(key: &'static str, default: u64) -> Option<FaultParam> {
+    Some(FaultParam { key, default })
+}
+
+/// Every fault kind, in [`FaultKind`] variant order — the one
+/// description the scenario loader, serializer, linter, coverage
+/// universe and explore loop derive from.
+pub const FAULT_KINDS: &[FaultRow] = &[
+    row(FaultKind::DropIrq, "drop-irq", None),
+    row(FaultKind::DelayIrq, "delay-irq", param("steps", 1)),
+    row(FaultKind::StallTranslator, "stall-translator", None),
+    row(
+        FaultKind::FlipSnoopAddr,
+        "flip-snoop-addr",
+        param("bit", 12),
+    ),
+    row(
+        FaultKind::LoseHypercall,
+        "lose-hypercall",
+        param("call", u64::MAX),
+    ),
+    row(FaultKind::DesyncBitmap, "desync-bitmap", None),
+];
+
 impl FaultKind {
+    /// This kind's [`FAULT_KINDS`] row.
+    pub fn row(self) -> &'static FaultRow {
+        &FAULT_KINDS[self as usize]
+    }
+
     /// Stable machine-readable name (used by scenario TOML and reports).
     pub fn name(self) -> &'static str {
-        match self {
-            Self::DropIrq => "drop-irq",
-            Self::DelayIrq => "delay-irq",
-            Self::StallTranslator => "stall-translator",
-            Self::FlipSnoopAddr => "flip-snoop-addr",
-            Self::LoseHypercall => "lose-hypercall",
-            Self::DesyncBitmap => "desync-bitmap",
-        }
+        self.row().name
     }
 
     /// Parses a [`FaultKind::name`] back into the kind.
     pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "drop-irq" => Self::DropIrq,
-            "delay-irq" => Self::DelayIrq,
-            "stall-translator" => Self::StallTranslator,
-            "flip-snoop-addr" => Self::FlipSnoopAddr,
-            "lose-hypercall" => Self::LoseHypercall,
-            "desync-bitmap" => Self::DesyncBitmap,
-            _ => return None,
-        })
+        FAULT_KINDS
+            .iter()
+            .find(|row| row.name == s)
+            .map(|row| row.kind)
     }
 }
 
@@ -99,64 +141,51 @@ pub struct FaultSpec {
 }
 
 impl FaultSpec {
-    /// Drop the `at`-th through `at + count - 1`-th MBM IRQ assertions.
-    pub fn drop_irq(at: u64, count: u64) -> Self {
+    /// A `kind` fault at the given schedule, with the kind's default
+    /// parameter (0 for kinds that take none).
+    pub fn of_kind(kind: FaultKind, at: u64, count: u64) -> Self {
         Self {
-            kind: FaultKind::DropIrq,
+            kind,
             at,
             count,
-            param: 0,
+            param: kind.row().param.as_ref().map_or(0, |p| p.default),
         }
+    }
+
+    /// Drop the `at`-th through `at + count - 1`-th MBM IRQ assertions.
+    pub fn drop_irq(at: u64, count: u64) -> Self {
+        Self::of_kind(FaultKind::DropIrq, at, count)
     }
 
     /// Delay matching MBM IRQ assertions by `steps` pipeline steps.
     pub fn delay_irq(at: u64, count: u64, steps: u64) -> Self {
-        Self {
-            kind: FaultKind::DelayIrq,
-            at,
-            count,
-            param: steps,
-        }
+        Self::of_kind(FaultKind::DelayIrq, at, count).with_param(steps)
     }
 
     /// Stall the bitmap translator for `count` drain opportunities.
     pub fn stall_translator(at: u64, count: u64) -> Self {
-        Self {
-            kind: FaultKind::StallTranslator,
-            at,
-            count,
-            param: 0,
-        }
+        Self::of_kind(FaultKind::StallTranslator, at, count)
     }
 
     /// Flip address bit `bit` of matching snooped writes.
     pub fn flip_snoop_addr(at: u64, count: u64, bit: u64) -> Self {
-        Self {
-            kind: FaultKind::FlipSnoopAddr,
-            at,
-            count,
-            param: bit,
-        }
+        Self::of_kind(FaultKind::FlipSnoopAddr, at, count).with_param(bit)
     }
 
     /// Lose matching hypercalls numbered `call` (`u64::MAX` = any).
     pub fn lose_hypercall(at: u64, count: u64, call: u64) -> Self {
-        Self {
-            kind: FaultKind::LoseHypercall,
-            at,
-            count,
-            param: call,
-        }
+        Self::of_kind(FaultKind::LoseHypercall, at, count).with_param(call)
     }
 
     /// Zero the bitmap word seen by matching decision-unit lookups.
     pub fn desync_bitmap(at: u64, count: u64) -> Self {
-        Self {
-            kind: FaultKind::DesyncBitmap,
-            at,
-            count,
-            param: 0,
-        }
+        Self::of_kind(FaultKind::DesyncBitmap, at, count)
+    }
+
+    /// The same fault with its kind-specific parameter set to `param`.
+    #[must_use]
+    pub fn with_param(self, param: u64) -> Self {
+        Self { param, ..self }
     }
 }
 
@@ -556,5 +585,12 @@ mod tests {
             assert_eq!(FaultKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(FaultKind::parse("nope"), None);
+        for (i, row) in FAULT_KINDS.iter().enumerate() {
+            assert_eq!(
+                row.kind as usize, i,
+                "`{}` row out of variant order",
+                row.name
+            );
+        }
     }
 }

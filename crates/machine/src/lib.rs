@@ -56,7 +56,10 @@ pub mod trace;
 pub use addr::{IntermAddr, PhysAddr, VirtAddr};
 pub use compiled::PlanStats;
 pub use fastpath::{compiled_enabled, fastpath_enabled};
-pub use fault::{FaultHit, FaultKind, FaultPlan, FaultSpec, FaultStats, IrqFault, SharedFaults};
+pub use fault::{
+    FaultHit, FaultKind, FaultParam, FaultPlan, FaultRow, FaultSpec, FaultStats, IrqFault,
+    SharedFaults, FAULT_KINDS,
+};
 pub use machine::{
     AccessKind, BlockFault, Exception, Hyp, Machine, MachineConfig, NullHyp, PolicyViolation,
 };

@@ -3,6 +3,7 @@
 # Run everything CI runs: format check, lint gate, build, tests.
 ci: fmt-check lint
     cargo build --release
+    cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
     cargo test -q
 
 # Reject unformatted code.
@@ -124,9 +125,9 @@ determinism:
 audit:
     cargo run -q --release -p hypernel-campaign -- lint \
         {{justfile_directory()}}/corpus
-    cargo run -q --release -p hypernel-audit-cli --bin hypernel-audit -- \
+    cargo run -q --release -p hypernel-campaign --bin hypernel-audit -- \
         corpus {{justfile_directory()}}/corpus --sanitize
-    ! cargo run -q --release -p hypernel-audit-cli --bin hypernel-audit -- \
+    ! cargo run -q --release -p hypernel-campaign --bin hypernel-audit -- \
         scenario {{justfile_directory()}}/corpus/wxorx.toml --mode native \
         --json {{justfile_directory()}}/target/audit/wxorx-native.json \
         > /dev/null
@@ -141,21 +142,21 @@ audit:
 # targeting a statically-reachable-but-unfired rule). See docs/STATIC.md.
 staticheck:
     rm -rf {{justfile_directory()}}/target/staticheck
-    cargo run -q --release -p hypernel-staticheck -- corpus \
+    cargo run -q --release -p hypernel-campaign --bin hypernel-staticheck -- corpus \
         --corpus {{justfile_directory()}}/corpus --jobs 4 \
         --out {{justfile_directory()}}/target/staticheck/static-coverage.json
-    cargo run -q --release -p hypernel-staticheck -- corpus \
+    cargo run -q --release -p hypernel-campaign --bin hypernel-staticheck -- corpus \
         --corpus {{justfile_directory()}}/corpus --jobs 1 \
         --out {{justfile_directory()}}/target/staticheck/static-coverage-j1.json
     HYPERNEL_NO_FASTPATH=1 HYPERNEL_NO_COMPILED=1 \
-        cargo run -q --release -p hypernel-staticheck -- corpus \
+        cargo run -q --release -p hypernel-campaign --bin hypernel-staticheck -- corpus \
         --corpus {{justfile_directory()}}/corpus --jobs 4 \
         --out {{justfile_directory()}}/target/staticheck/static-coverage-slow.json
     diff {{justfile_directory()}}/target/staticheck/static-coverage.json \
          {{justfile_directory()}}/target/staticheck/static-coverage-j1.json
     diff {{justfile_directory()}}/target/staticheck/static-coverage.json \
          {{justfile_directory()}}/target/staticheck/static-coverage-slow.json
-    cargo run -q --release -p hypernel-staticheck -- soundness \
+    cargo run -q --release -p hypernel-campaign --bin hypernel-staticheck -- soundness \
         --corpus {{justfile_directory()}}/corpus --seeds 8
     cargo run -q --release -p hypernel-analyze -- staticcov \
         {{justfile_directory()}}/target/staticheck/static-coverage.json \

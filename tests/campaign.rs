@@ -13,20 +13,7 @@ fn corpus_dir() -> PathBuf {
 }
 
 fn load_corpus() -> Vec<Scenario> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(corpus_dir())
-        .expect("corpus dir")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "toml"))
-        .collect();
-    paths.sort();
-    paths
-        .iter()
-        .map(|p| {
-            let text = std::fs::read_to_string(p).expect("readable");
-            Scenario::from_toml(&text)
-                .unwrap_or_else(|e| panic!("{} does not parse: {e}", p.display()))
-        })
-        .collect()
+    hypernel_campaign::load_corpus(&corpus_dir()).expect("shipped corpus loads")
 }
 
 fn find(scenarios: &[Scenario], name: &str) -> Scenario {

@@ -6,11 +6,15 @@
 //! * every key the loader silently ignores — at the top level, in
 //!   `[metrics]`, in a `[[step]]`, in a `[[fault]]` — is flagged by
 //!   `lint_source`, so a typo can never ship silently;
-//! * every key the linter whitelists is actually honored by the loader
-//!   (a fully-keyed scenario loads, lints clean, and `to_toml`
-//!   round-trips it).
+//! * every parameter in the step and fault tables is actually honored
+//!   by the loader (a fully-keyed scenario loads, lints clean, and
+//!   `to_toml` round-trips it);
+//! * a known key holding the wrong type is a load error, not its
+//!   default.
 
 use hypernel_campaign::{lint_source, Scenario};
+use hypernel_kernel::{ParamValue, STEP_KINDS};
+use hypernel_machine::{FaultSpec, FAULT_KINDS};
 
 /// A scenario body exercising every whitelisted key for one step kind
 /// and one fault kind, with `{top}`, `{metrics}`, `{step}` and
@@ -166,8 +170,10 @@ expect = "detected"
     }
 }
 
-/// The complementary direction: everything the linter whitelists is a
-/// key the loader honors, for every step and fault kind.
+/// The complementary direction: every parameter in the step and fault
+/// tables is a key the loader honors, for every step kind × every
+/// fault kind — each parameter set to a non-default value, so a key the
+/// loader dropped would show up as its default.
 #[test]
 fn every_whitelisted_key_is_honored_by_the_loader() {
     let clean = source("", "", "", "");
@@ -177,59 +183,40 @@ fn every_whitelisted_key_is_honored_by_the_loader() {
     let reparsed = Scenario::from_toml(&scenario.to_toml()).expect("round-trip loads");
     assert_eq!(scenario, reparsed);
 
-    // Compose-targeting steps need the composed system declared, or the
-    // linter (correctly) flags the dangling reference.
-    const COMPOSE: &str = r#"
-[[domain]]
-name = "server"
-role = "server"
+    // One name declared as every kind of composed entity, so steps
+    // that reference one pass the linter's reference check.
+    const COMPOSE: &str = "[[domain]]\nname = \"x\"\n[[region]]\nname = \"x\"\nowner = \"x\"\n\
+                           [[channel]]\nname = \"x\"\nfrom = \"x\"\nto = \"x\"\n";
+    for kind in STEP_KINDS {
+        // Every parameter off its default: integers bumped, strings `x`.
+        let values: Vec<ParamValue<'_>> = kind
+            .params
+            .iter()
+            .map(|param| match param.default {
+                ParamValue::U64(default) => ParamValue::U64(default + 1),
+                ParamValue::Str(_) => ParamValue::Str("x"),
+            })
+            .collect();
+        let step_params: String = kind
+            .params
+            .iter()
+            .zip(&values)
+            .map(|(param, value)| match value {
+                ParamValue::U64(v) => format!("{} = {v}\n", param.key),
+                ParamValue::Str(v) => format!("{} = \"{v}\"\n", param.key),
+            })
+            .collect();
+        let sections = if kind.composed() { COMPOSE } else { "" };
+        let step = (kind.build)(&values);
 
-[[domain]]
-name = "client"
-
-[[channel]]
-name = "req"
-from = "client"
-to = "server"
-
-[[region]]
-name = "shared"
-owner = "server"
-share = ["client"]
-"#;
-    let steps = [
-        ("cred-escalation", "pid = 2", ""),
-        ("map-secure-region", "pid = 2", ""),
-        ("atra-cred", "pid = 2", ""),
-        ("double-map-cred", "pid = 2", ""),
-        (
-            "dentry-hijack",
-            "path = \"/sbin/init\"\nrogue-inode = 7",
-            "",
-        ),
-        ("pt-direct-write", "pid = 2\nvalue = 13", ""),
-        ("atra-dentry", "path = \"/sbin/init\"", ""),
-        ("ttbr-redirect", "", ""),
-        ("code-injection", "", ""),
-        ("text-patch", "", ""),
-        (
-            "cross-domain-cred-theft",
-            "attacker = \"client\"\nvictim = \"server\"",
-            COMPOSE,
-        ),
-        ("shared-region-toctou", "region = \"shared\"", COMPOSE),
-        ("channel-spoof", "channel = \"req\"", COMPOSE),
-    ];
-    let faults = [
-        ("delay-irq", "steps = 2"),
-        ("flip-snoop-addr", "bit = 5"),
-        ("lose-hypercall", "call = 3"),
-        ("drop-irq", ""),
-        ("stall-translator", ""),
-        ("desync-bitmap", ""),
-    ];
-    for (step_kind, step_params, sections) in steps {
-        for (fault_kind, fault_params) in faults {
+        for fault_kind in FAULT_KINDS {
+            let mut fault = FaultSpec::of_kind(fault_kind.kind, 2, 3);
+            let mut fault_params = String::new();
+            if let Some(param) = &fault_kind.param {
+                fault.param = param.default.wrapping_add(1);
+                fault_params = format!("{} = {}", param.key, fault.param);
+            }
+            let (step_kind, fault_name) = (kind.name, fault_kind.name);
             let src = format!(
                 r#"
 name = "demo"
@@ -237,13 +224,12 @@ mode = "hypernel"
 {sections}
 [[step]]
 kind = "{step_kind}"
-{step_params}
-expect = "any"
+{step_params}expect = "any"
 
 [[fault]]
-kind = "{fault_kind}"
-at = 1
-count = 1
+kind = "{fault_name}"
+at = 2
+count = 3
 {fault_params}
 "#
             );
@@ -251,13 +237,60 @@ count = 1
             assert_eq!(
                 issues,
                 Vec::<String>::new(),
-                "{step_kind}/{fault_kind} should lint clean"
+                "{step_kind}/{fault_name} should lint clean"
             );
             let scenario = Scenario::from_toml(&src)
-                .unwrap_or_else(|e| panic!("{step_kind}/{fault_kind} should load: {e}"));
+                .unwrap_or_else(|e| panic!("{step_kind}/{fault_name} should load: {e}"));
+            assert_eq!(
+                scenario.steps[0].step, step,
+                "{step_kind}: a parameter was dropped"
+            );
+            assert_eq!(
+                scenario.faults.specs,
+                vec![fault],
+                "{fault_name}: the parameter was dropped"
+            );
             let reparsed = Scenario::from_toml(&scenario.to_toml())
-                .unwrap_or_else(|e| panic!("{step_kind}/{fault_kind} round-trip: {e}"));
-            assert_eq!(scenario, reparsed, "{step_kind}/{fault_kind}");
+                .unwrap_or_else(|e| panic!("{step_kind}/{fault_name} round-trip: {e}"));
+            assert_eq!(scenario, reparsed, "{step_kind}/{fault_name}");
         }
+    }
+}
+
+/// A known key holding the wrong type or range is a load error naming
+/// the section and key — never silently its default.
+#[test]
+fn mistyped_known_values_fail_to_load() {
+    let base = |top: &str, step: &str, fault: &str| {
+        format!(
+            "name = \"demo\"\n{top}\n[[step]]\nkind = \"cred-escalation\"\n{step}\n\
+             [[fault]]\nkind = \"delay-irq\"\n{fault}\n"
+        )
+    };
+    Scenario::from_toml(&base(
+        "fifo-capacity = 8",
+        "pid = 2",
+        "steps = 3\ncount = -1",
+    ))
+    .expect("well-typed values load");
+    for (src, section, key) in [
+        (base("", "pid = \"2\"", ""), "step 1", "pid"),
+        (base("", "", "steps = \"3\""), "fault 1", "steps"),
+        (base("", "", "count = -2"), "fault 1", "count"),
+        (
+            base("fifo-capacity = \"8\"", "", ""),
+            "top level",
+            "fifo-capacity",
+        ),
+    ] {
+        let e = Scenario::from_toml(&src).expect_err(key);
+        assert!(
+            e.message.contains(section) && e.message.contains(&format!("`{key}`")),
+            "{key}: {e}"
+        );
+        assert!(
+            !lint_source(Some("demo"), &src).is_empty(),
+            "{key}: lint passed"
+        );
     }
 }

@@ -19,10 +19,10 @@ use std::path::Path;
 
 use hypernel::Mode;
 use hypernel_campaign::engine::run_one;
-use hypernel_campaign::scenario::Scenario;
-use hypernel_staticheck::{
-    load_corpus, predict_corpus_jobs, predict_scenario, remode, soundness_excess, soundness_sweep,
-    static_coverage_json, testonly_miswire, SOUNDNESS_MODES,
+use hypernel_campaign::scenario::{load_corpus, Scenario, MODES};
+use hypernel_campaign::staticheck::{
+    predict_corpus_jobs, predict_scenario, reachable_rules, remode, soundness_excess,
+    soundness_sweep, static_coverage_json, step_for_rule, testonly_miswire,
 };
 use proptest::prelude::*;
 
@@ -118,7 +118,7 @@ proptest! {
     ) {
         let corpus = corpus();
         let base = &corpus[index % corpus.len()];
-        let scenario = remode(base, SOUNDNESS_MODES[mode_index]);
+        let scenario = remode(base, MODES[mode_index].0);
         let prediction = predict_scenario(&scenario);
         // Re-moded scenarios can be legitimately non-executable; only
         // executed runs make soundness claims.
@@ -129,7 +129,7 @@ proptest! {
                 excess.is_empty(),
                 "`{}` under {:?} seed {seed}: {excess:?}",
                 scenario.name,
-                SOUNDNESS_MODES[mode_index],
+                MODES[mode_index].0,
             );
         }
     }
@@ -144,9 +144,9 @@ proptest! {
     ) {
         let corpus = corpus();
         let base = &corpus[index % corpus.len()];
-        let mode = SOUNDNESS_MODES[mode_index];
+        let mode = MODES[mode_index].0;
         let scenario = remode(base, mode);
-        let frontier: Vec<String> = hypernel_staticheck::reachable_rules(mode)
+        let frontier: Vec<String> = reachable_rules(mode)
             .into_iter()
             .map(|r| format!("hypersec/rule/{r}"))
             .collect();
@@ -169,12 +169,12 @@ proptest! {
 /// 9 reachable rules, and the shipped baseline covers 6 of them.
 #[test]
 fn hypernel_reachability_matches_the_model() {
-    let reachable = hypernel_staticheck::reachable_rules(Mode::Hypernel);
+    let reachable = reachable_rules(Mode::Hypernel);
     assert_eq!(reachable.len(), 9, "{reachable:?}");
-    assert!(hypernel_staticheck::reachable_rules(Mode::Native).is_empty());
-    assert!(hypernel_staticheck::reachable_rules(Mode::KvmGuest).is_empty());
+    assert!(reachable_rules(Mode::Native).is_empty());
+    assert!(reachable_rules(Mode::KvmGuest).is_empty());
     for rule in ["unknown-hypercall", "frozen-sysreg", "not-a-table"] {
         assert!(reachable.contains(rule), "probe-reachable `{rule}` missing");
-        assert!(hypernel_staticheck::step_for_rule(rule).is_some());
+        assert!(step_for_rule(rule).is_some());
     }
 }
