@@ -44,9 +44,12 @@
 //! tag per physical page, maintained by the kernel at allocation sites
 //! and checked against a writer/tag policy on every store.
 //!
-//! All reads go through `Machine::debug_read_phys` — cache coherent,
-//! zero simulated cycles, no architectural side effects — so auditing
-//! never perturbs the simulation it inspects.
+//! All reads go through `Machine::debug_read_table` and
+//! `Machine::debug_read_phys` — cache coherent, zero simulated cycles,
+//! no architectural side effects — so auditing never perturbs the
+//! simulation it inspects. The audit is one walk over every reachable
+//! table, and its cost grows with the number of tables, not leaves (see
+//! [`graph`]).
 //!
 //! [paper]: https://doi.org/10.1145/3195970.3196061
 
@@ -54,7 +57,9 @@ pub mod graph;
 pub mod report;
 pub mod sanitizer;
 
-pub use graph::{chain_display, ChainLink, LeafRecord, MappingGraph, RootOrigin, RootSpec};
+pub use graph::{
+    chain_display, ChainLink, LeafRecord, LeafRun, MappingGraph, RootOrigin, RootSpec, TableNode,
+};
 pub use report::{
     CheckKind, DifferentialReport, Finding, SanitizerReport, StaticAuditReport, AUDIT_SCHEMA,
     REPORT_KIND,
@@ -63,7 +68,7 @@ pub use sanitizer::seed_shadow;
 
 use std::collections::HashSet;
 
-use hypernel_hypersec::Hypersec;
+use hypernel_hypersec::{AuditReport, Hypersec};
 use hypernel_kernel::{layout, Kernel};
 use hypernel_machine::addr::PhysAddr;
 use hypernel_machine::machine::Machine;
@@ -74,13 +79,16 @@ use hypernel_machine::regs::SysReg;
 /// `kernel` supplies the kernel-known ground truth (its root, the
 /// per-task user roots); `hypersec`, when present **and locked**, adds
 /// the verified root/table pools, enables the strict table checks, and
-/// arms the differential comparison against [`Hypersec::audit`]. The
-/// ownership-sanitizer section is filled in when shadow tags are
-/// enabled on the machine.
+/// arms the differential comparison against [`Hypersec::audit`]. A
+/// caller that already ran `Hypersec::audit` on this same state passes
+/// its report as `incremental`, and the differential uses it instead of
+/// auditing twice. The ownership-sanitizer section is filled in when
+/// shadow tags are enabled on the machine.
 pub fn audit_system(
     m: &mut Machine,
     kernel: &Kernel,
     hypersec: Option<&Hypersec>,
+    incremental: Option<&AuditReport>,
 ) -> StaticAuditReport {
     let mut report = StaticAuditReport::default();
     let strict = hypersec.is_some_and(Hypersec::is_locked);
@@ -91,21 +99,30 @@ pub fn audit_system(
     let graph = MappingGraph::walk(m, &roots);
     report.roots_walked = graph.roots.len() as u64;
     report.tables_walked = graph.tables.len() as u64;
-    report.leaves_checked = graph.leaves.len() as u64;
+    report.leaves_checked = graph.leaf_count();
 
-    for (detail, chain) in &graph.malformed {
-        report.finding(CheckKind::Malformed, detail.clone(), chain.clone());
+    for (detail, node, index) in &graph.malformed {
+        report.finding(
+            CheckKind::Malformed,
+            detail.clone(),
+            graph.chain(*node, *index),
+        );
     }
     check_leaves(&graph, &mut report);
     if strict {
-        check_tables_ro(&graph, hypersec, &mut report);
-        check_verified_pool(m, hypersec.expect("strict implies hypersec"), &mut report);
+        let hyp = hypersec.expect("strict implies hypersec");
+        check_tables_ro(&graph, hyp, &mut report);
+        check_verified_pool(&graph, hyp, &mut report);
     }
     if let Some(hyp) = hypersec {
         check_watch_coverage(m, hyp, &graph, &mut report);
     }
     if strict {
-        run_differential(m, hypersec.expect("strict implies hypersec"), &mut report);
+        let hyp = hypersec.expect("strict implies hypersec");
+        match incremental {
+            Some(incremental) => run_differential(incremental, &mut report),
+            None => run_differential(&hyp.audit(m), &mut report),
+        }
     }
     if let Some(shadow) = m.shadow_tags() {
         report.sanitizer = Some(SanitizerReport {
@@ -119,12 +136,11 @@ pub fn audit_system(
 /// Gathers every translation root the system knows about, deduplicated
 /// with accumulated provenance. Order is deterministic: kernel-known
 /// kernel root, active `TTBR1`, Hypersec's kernel root, kernel-known
-/// user roots, active `TTBR0`, Hypersec's verified roots.
+/// user roots, active `TTBR0`, Hypersec's verified roots. A zero `TTBR`
+/// is unset, not a root; a bookkept root at address 0 is still walked,
+/// so every Hypersec root is in the graph for [`check_verified_pool`].
 fn collect_roots(m: &Machine, kernel: &Kernel, hypersec: Option<&Hypersec>) -> Vec<RootSpec> {
     fn push(roots: &mut Vec<RootSpec>, pa: PhysAddr, kernel_space: bool, origin: RootOrigin) {
-        if pa.raw() == 0 {
-            return; // an unset TTBR, not a root
-        }
         match roots.iter_mut().find(|r| r.pa == pa) {
             Some(existing) => {
                 if !existing.origins.contains(&origin) {
@@ -146,13 +162,12 @@ fn collect_roots(m: &Machine, kernel: &Kernel, hypersec: Option<&Hypersec>) -> V
         true,
         RootOrigin::KernelKnown,
     );
-    if m.regs().stage1_enabled() {
-        push(
-            &mut roots,
-            graph::ttbr_base(m.regs().read(SysReg::TTBR1_EL1)),
-            true,
-            RootOrigin::ActiveTtbr1,
-        );
+    let active = |reg| {
+        Some(graph::ttbr_base(m.regs().read(reg)))
+            .filter(|pa| m.regs().stage1_enabled() && pa.raw() != 0)
+    };
+    if let Some(pa) = active(SysReg::TTBR1_EL1) {
+        push(&mut roots, pa, true, RootOrigin::ActiveTtbr1);
     }
     if let Some(hyp) = hypersec {
         if let Some(root) = hyp.kernel_root() {
@@ -162,13 +177,8 @@ fn collect_roots(m: &Machine, kernel: &Kernel, hypersec: Option<&Hypersec>) -> V
     for pa in kernel.user_roots() {
         push(&mut roots, pa, false, RootOrigin::KernelKnown);
     }
-    if m.regs().stage1_enabled() {
-        push(
-            &mut roots,
-            graph::ttbr_base(m.regs().read(SysReg::TTBR0_EL1)),
-            false,
-            RootOrigin::ActiveTtbr0,
-        );
+    if let Some(pa) = active(SysReg::TTBR0_EL1) {
+        push(&mut roots, pa, false, RootOrigin::ActiveTtbr0);
     }
     for pa in hypersec.map(Hypersec::verified_roots).unwrap_or_default() {
         push(&mut roots, pa, false, RootOrigin::HypervisorVerified);
@@ -222,109 +232,105 @@ fn check_rogue_roots(
 }
 
 /// The per-leaf invariants: secure unreachability, W^X, kernel linear
-/// identity, kernel text never writable.
+/// identity, kernel text never writable. Each is a constant or an
+/// overlap test over a leaf's output range, so a run none of whose
+/// checks fires on it as one wide leaf is skipped whole; any other run
+/// is checked leaf by leaf, in walk order.
 fn check_leaves(graph: &MappingGraph, report: &mut StaticAuditReport) {
-    let image_end = layout::KERNEL_IMAGE_BASE + layout::KERNEL_IMAGE_SIZE;
-    for leaf in &graph.leaves {
-        if leaf.out.raw() + leaf.span > layout::SECURE_BASE {
-            report.finding(
-                CheckKind::SecureReachable,
-                format!(
-                    "leaf at va {:#x} maps secure memory ({})",
-                    leaf.va, leaf.out
-                ),
-                leaf.chain.clone(),
-            );
+    for run in &graph.runs {
+        let wide = run.as_wide_leaf(graph.kernel_space(run));
+        if leaf_findings(wide).next().is_none() {
+            continue;
         }
-        if leaf.perms.write && leaf.perms.exec {
-            report.finding(
-                CheckKind::WxMapping,
-                format!(
-                    "writable+executable leaf at va {:#x} -> {}",
-                    leaf.va, leaf.out
-                ),
-                leaf.chain.clone(),
-            );
-        }
-        if leaf.kernel_space && leaf.va != leaf.out.raw() {
-            report.finding(
-                CheckKind::LinearIdentity,
-                format!(
-                    "kernel linear leaf not identity: va {:#x} -> {}",
-                    leaf.va, leaf.out
-                ),
-                leaf.chain.clone(),
-            );
-        }
-        if leaf.perms.write
-            && leaf.out.raw() < image_end
-            && leaf.out.raw() + leaf.span > layout::KERNEL_IMAGE_BASE
-        {
-            report.finding(
-                CheckKind::TextWritable,
-                format!("kernel text writable at va {:#x} -> {}", leaf.va, leaf.out),
-                leaf.chain.clone(),
-            );
+        for leaf in graph.leaves(run) {
+            for (check, detail) in leaf_findings(leaf) {
+                report.finding(check, detail, graph.chain(leaf.node, leaf.index));
+            }
         }
     }
+}
+
+/// The per-leaf invariants `leaf` violates, in report order.
+fn leaf_findings(leaf: LeafRecord) -> impl Iterator<Item = (CheckKind, String)> {
+    type Describe = fn(&LeafRecord) -> String;
+    let image_end = layout::KERNEL_IMAGE_BASE + layout::KERNEL_IMAGE_SIZE;
+    let end = leaf.out.raw() + leaf.span;
+    let checks: [(bool, CheckKind, Describe); 4] = [
+        (end > layout::SECURE_BASE, CheckKind::SecureReachable, |l| {
+            format!("leaf at va {:#x} maps secure memory ({})", l.va, l.out)
+        }),
+        (
+            leaf.perms.write && leaf.perms.exec,
+            CheckKind::WxMapping,
+            |l| format!("writable+executable leaf at va {:#x} -> {}", l.va, l.out),
+        ),
+        (
+            leaf.kernel_space && leaf.va != leaf.out.raw(),
+            CheckKind::LinearIdentity,
+            |l| {
+                format!(
+                    "kernel linear leaf not identity: va {:#x} -> {}",
+                    l.va, l.out
+                )
+            },
+        ),
+        (
+            leaf.perms.write && leaf.out.raw() < image_end && end > layout::KERNEL_IMAGE_BASE,
+            CheckKind::TextWritable,
+            |l| format!("kernel text writable at va {:#x} -> {}", l.va, l.out),
+        ),
+    ];
+    checks
+        .into_iter()
+        .filter(|&(fires, ..)| fires)
+        .map(move |(_, check, describe)| (check, describe(&leaf)))
+}
+
+/// The sorted addresses of `tables` inside `[base, end)`.
+fn tables_in(tables: &[u64], base: u64, end: u64) -> &[u64] {
+    let start = tables.partition_point(|&t| t < base);
+    let len = tables[start..].partition_point(|&t| t < end);
+    &tables[start..start + len]
 }
 
 /// No writable leaf may cover a live table page (the union of the
 /// graph's reachable tables and Hypersec's verified pool). Only
 /// meaningful under a locked Hypersec — a native kernel writes its own
 /// tables through its linear map by design.
-fn check_tables_ro(
-    graph: &MappingGraph,
-    hypersec: Option<&Hypersec>,
-    report: &mut StaticAuditReport,
-) {
+fn check_tables_ro(graph: &MappingGraph, hyp: &Hypersec, report: &mut StaticAuditReport) {
     let mut tables: Vec<u64> = graph.tables.iter().map(|t| t.raw()).collect();
-    if let Some(hyp) = hypersec {
-        tables.extend(hyp.verified_tables().iter().map(|t| t.raw()));
-    }
+    tables.extend(hyp.verified_tables().iter().map(|t| t.raw()));
     tables.sort_unstable();
     tables.dedup();
-    for leaf in graph.leaves.iter().filter(|l| l.perms.write) {
-        let start = tables.partition_point(|&t| t < leaf.out.raw());
-        for &table in tables[start..]
-            .iter()
-            .take_while(|&&t| t < leaf.out.raw() + leaf.span)
-        {
-            report.finding(
-                CheckKind::TableWritable,
-                format!(
-                    "table page {} is writable via va {:#x}",
-                    PhysAddr::new(table),
-                    leaf.va + (table - leaf.out.raw())
-                ),
-                leaf.chain.clone(),
-            );
+    for run in graph.runs.iter().filter(|r| r.perms.write) {
+        if tables_in(&tables, run.out.raw(), run.out_end()).is_empty() {
+            continue;
+        }
+        for leaf in graph.leaves(run) {
+            for &table in tables_in(&tables, leaf.out.raw(), leaf.out.raw() + leaf.span) {
+                report.finding(
+                    CheckKind::TableWritable,
+                    format!(
+                        "table page {} is writable via va {:#x}",
+                        PhysAddr::new(table),
+                        leaf.va + (table - leaf.out.raw())
+                    ),
+                    graph.chain(leaf.node, leaf.index),
+                );
+            }
         }
     }
 }
 
 /// Every table reachable from Hypersec's registered roots must be in
 /// its verified pool — the exact invariant the incremental runtime
-/// audit re-checks, so both sides flag the same tables.
-fn check_verified_pool(m: &mut Machine, hyp: &Hypersec, report: &mut StaticAuditReport) {
-    let mut roots = Vec::new();
-    if let Some(root) = hyp.kernel_root() {
-        roots.push(RootSpec {
-            pa: root,
-            kernel_space: true,
-            origins: vec![RootOrigin::HypervisorVerified],
-        });
-    }
-    for pa in hyp.verified_roots() {
-        roots.push(RootSpec {
-            pa,
-            kernel_space: false,
-            origins: vec![RootOrigin::HypervisorVerified],
-        });
-    }
-    let reachable = MappingGraph::walk(m, &roots);
+/// audit re-checks, so both sides flag the same tables. Every Hypersec
+/// root is a root of the graph, walked with its own visited set, so
+/// the tables its nodes reach are the set a walk of Hypersec's roots
+/// alone would reach.
+fn check_verified_pool(graph: &MappingGraph, hyp: &Hypersec, report: &mut StaticAuditReport) {
     let verified: HashSet<u64> = hyp.verified_tables().iter().map(|t| t.raw()).collect();
-    for table in &reachable.tables {
+    for table in graph.tables_from(RootOrigin::HypervisorVerified) {
         if !verified.contains(&table.raw()) {
             report.finding(
                 CheckKind::UnverifiedTable,
@@ -347,11 +353,14 @@ fn check_watch_coverage(
 ) {
     for region in hyp.regions() {
         report.regions_checked += 1;
-        let covering: Vec<&LeafRecord> = graph
-            .leaves_over(region.pa.raw(), region.len)
-            .filter(|l| l.kernel_space)
-            .collect();
-        if covering.is_empty() {
+        let (base, end) = (region.pa.raw(), region.pa.raw() + region.len);
+        let overlaps = |out: u64, out_end: u64| out < end && out_end > base;
+        let mut covering = graph
+            .runs
+            .iter()
+            .filter(|r| graph.kernel_space(r) && overlaps(r.out.raw(), r.out_end()))
+            .peekable();
+        if covering.peek().is_none() {
             report.finding(
                 CheckKind::WatchCoverage,
                 format!(
@@ -361,15 +370,18 @@ fn check_watch_coverage(
                 Vec::new(),
             );
         }
-        for leaf in covering {
-            if leaf.perms.cacheable {
+        for run in covering.filter(|r| r.perms.cacheable) {
+            for leaf in graph
+                .leaves(run)
+                .filter(|l| overlaps(l.out.raw(), l.out.raw() + l.span))
+            {
                 report.finding(
                     CheckKind::WatchCoverage,
                     format!(
                         "monitored region sid {} at {} is mapped cacheable (va {:#x})",
                         region.sid, region.base_va, leaf.va
                     ),
-                    leaf.chain.clone(),
+                    graph.chain(leaf.node, leaf.index),
                 );
             }
         }
@@ -393,14 +405,13 @@ fn check_watch_coverage(
     }
 }
 
-/// Runs Hypersec's incremental runtime audit and compares verdicts.
-/// The comparison is on the *verdict*, not the phrasing: both analyses
-/// must agree on whether the system is dirty. A static-only finding
-/// means the incremental verifier admitted something it should not
-/// have (a verifier bug); an incremental-only violation means the
+/// Compares the static verdict with Hypersec's incremental runtime
+/// audit. The comparison is on the *verdict*, not the phrasing: both
+/// analyses must agree on whether the system is dirty. A static-only
+/// finding means the incremental verifier admitted something it should
+/// not have (a verifier bug); an incremental-only violation means the
 /// static pass has a gap.
-fn run_differential(m: &mut Machine, hyp: &Hypersec, report: &mut StaticAuditReport) {
-    let incremental = hyp.audit(m);
+fn run_differential(incremental: &AuditReport, report: &mut StaticAuditReport) {
     let mut diff = DifferentialReport {
         static_findings: report.findings.len() as u64,
         incremental_violations: incremental.violations.clone(),

@@ -8,7 +8,7 @@
 //! the output is independent of scheduling — the same campaign at
 //! `--jobs 1` and `--jobs 8` produces byte-identical artifacts.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
@@ -88,13 +88,17 @@ fn worker(
     queue: &Mutex<VecDeque<WorkItem>>,
     tx: &mpsc::Sender<WorkResult>,
 ) {
-    // Warm-boot cache: booting a scenario's system is seed-independent
-    // (see `engine::boot_system`), so each worker boots a template once
-    // per scenario and forks a copy per seed. Forks are observationally
-    // identical to fresh boots, so the records — and the campaign
-    // artifact — are byte-identical with the cache on or off
-    // (`HYPERNEL_NO_FASTPATH=1` disables it for the determinism gate).
-    let mut templates: HashMap<usize, System> = HashMap::new();
+    // Warm-boot template: booting a scenario's system is
+    // seed-independent (see `engine::boot_system`), so the worker boots
+    // a template once per scenario and forks a copy per seed. Forks are
+    // observationally identical to fresh boots, so the records — and
+    // the campaign artifact — are byte-identical with the template on
+    // or off (`HYPERNEL_NO_FASTPATH=1` disables it for the determinism
+    // gate). The queue is in `(scenario, seed)` order, so a worker never
+    // returns to an earlier scenario: it keeps one template and drops it
+    // before booting the next. A failed boot keeps none, so every seed
+    // of that scenario boots again and reports its own failure.
+    let mut template: Option<(usize, System)> = None;
     loop {
         let item = queue.lock().expect("queue poisoned").pop_front();
         let Some((scenario_idx, seed)) = item else {
@@ -102,12 +106,21 @@ fn worker(
         };
         let scenario = &scenarios[scenario_idx];
         let result = if fastpath_enabled() {
-            use std::collections::hash_map::Entry;
-            match templates.entry(scenario_idx) {
-                Entry::Occupied(e) => Ok(&*e.into_mut()),
-                Entry::Vacant(v) => engine::boot_system(scenario).map(|sys| &*v.insert(sys)),
+            if template
+                .as_ref()
+                .is_none_or(|(idx, _)| *idx != scenario_idx)
+            {
+                template = None;
             }
-            .and_then(|t| engine::run_one_on(t.fork(), scenario, seed).map(|(record, _)| record))
+            let booted = match &template {
+                Some((_, sys)) => Ok(sys),
+                None => {
+                    engine::boot_system(scenario).map(|sys| &template.insert((scenario_idx, sys)).1)
+                }
+            };
+            booted.and_then(|t| {
+                engine::run_one_on(t.fork(), scenario, seed).map(|(record, _)| record)
+            })
         } else {
             engine::run_one(scenario, seed)
         };
@@ -273,5 +286,42 @@ mod tests {
         let outcome = run_sweep(&bad, SweepConfig { seeds: 2, jobs: 1 });
         assert_eq!(outcome.failures.len(), 2);
         assert!(!outcome.all_passed());
+    }
+
+    #[test]
+    fn boot_failures_are_reported_once_per_seed() {
+        // A channel between undeclared domains fails to lower, so the
+        // scenario cannot boot at all; the scenarios after it must
+        // still get their own templates.
+        let mut unbootable = Scenario::new("sweep-unbootable", Mode::Native)
+            .step(AttackStep::CredEscalation { pid: 1 }, StepExpect::Any);
+        unbootable.compose = Some(hypernel_compose::ComposeDoc {
+            channels: vec![hypernel_compose::ChannelDecl {
+                name: "orphan".to_string(),
+                from: "ghost".to_string(),
+                to: "ghost".to_string(),
+                capacity: 1,
+            }],
+            ..Default::default()
+        });
+        assert!(crate::engine::boot_system(&unbootable).is_err());
+        let mut scenarios = vec![unbootable];
+        scenarios.extend(self::scenarios());
+        let outcome = run_sweep(&scenarios, SweepConfig { seeds: 3, jobs: 1 });
+        let failed: Vec<(&str, u64)> = outcome
+            .failures
+            .iter()
+            .map(|f| (f.scenario.as_str(), f.seed))
+            .collect();
+        assert_eq!(
+            failed,
+            [
+                ("sweep-unbootable", 0),
+                ("sweep-unbootable", 1),
+                ("sweep-unbootable", 2)
+            ]
+        );
+        assert_eq!(outcome.records.len(), 6);
+        assert!(outcome.records.iter().all(|r| r.passed));
     }
 }

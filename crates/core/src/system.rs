@@ -525,11 +525,21 @@ impl System {
     /// (when enabled). Works in every mode; costs zero simulated
     /// cycles. See [`hypernel_audit::audit_system`].
     pub fn audit_static(&mut self) -> hypernel_audit::StaticAuditReport {
+        self.audit_static_against(None)
+    }
+
+    /// [`System::audit_static`], reusing `incremental` — the report of
+    /// [`System::audit_hypersec`] on this same state — for the
+    /// differential instead of running Hypersec's audit a second time.
+    pub fn audit_static_against(
+        &mut self,
+        incremental: Option<&hypernel_hypersec::AuditReport>,
+    ) -> hypernel_audit::StaticAuditReport {
         let hypersec = match &self.el2 {
             El2Software::Hypersec(h) => Some(h),
             _ => None,
         };
-        hypernel_audit::audit_system(&mut self.machine, &self.kernel, hypersec)
+        hypernel_audit::audit_system(&mut self.machine, &self.kernel, hypersec, incremental)
     }
 
     /// Turns on the guest-memory ownership sanitizer: seeds a shadow

@@ -722,6 +722,27 @@ impl Machine {
         }
     }
 
+    /// Reads the whole page at `pa` as 512 words without cost,
+    /// translation or bus visibility: one DRAM lookup per line, overlaid
+    /// with any resident cache line. Word for word equal to 512
+    /// [`Machine::debug_read_phys`] calls — the bulk read a page-table
+    /// auditor uses to load one table.
+    pub fn debug_read_table(&mut self, pa: PhysAddr) -> [u64; pagetable::ENTRIES_PER_TABLE] {
+        let base = pa.page_base();
+        let mut words = [0u64; pagetable::ENTRIES_PER_TABLE];
+        for (line, chunk) in (0..).zip(words.chunks_exact_mut(LINE_WORDS)) {
+            let line_addr = base.add(line * LINE_SIZE);
+            if self.cache.contains(line_addr) {
+                for (i, w) in (0..).zip(chunk.iter_mut()) {
+                    *w = self.cache.read_word(line_addr.add(i * 8));
+                }
+            } else {
+                chunk.copy_from_slice(&self.mem.read_line(line_addr));
+            }
+        }
+        words
+    }
+
     /// Writes physical memory without cost, translation or bus visibility.
     /// Coherent: updates a resident cache line as well as DRAM.
     ///
@@ -1910,6 +1931,25 @@ mod tests {
         );
         // The data landed at the mapped physical address.
         assert_eq!(rig.m.debug_read_phys(PhysAddr::new(0x8_0008)), 0xFEED);
+    }
+
+    #[test]
+    fn debug_read_table_overlays_resident_lines_on_dram() {
+        let mut rig = Rig::new();
+        rig.map(0x5000, 0x8_0000, PagePerms::KERNEL_DATA);
+        rig.m.debug_write_phys(PhysAddr::new(0x8_0100), 0xD7A);
+        let mut hyp = NullHyp;
+        rig.m
+            .write_u64(VirtAddr::new(0x5008), 0xFEED, &mut hyp)
+            .unwrap();
+        // Write-back: the store sits in a dirty line, DRAM is stale.
+        assert!(rig.m.cache.contains(PhysAddr::new(0x8_0008)));
+        assert_eq!(rig.m.mem_mut().read_u64(PhysAddr::new(0x8_0008)), 0);
+        let table = rig.m.debug_read_table(PhysAddr::new(0x8_0000));
+        for (i, word) in (0..).zip(table) {
+            assert_eq!(word, rig.m.debug_read_phys(PhysAddr::new(0x8_0000 + i * 8)));
+        }
+        assert_eq!((table[1], table[32]), (0xFEED, 0xD7A));
     }
 
     #[test]

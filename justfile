@@ -72,6 +72,19 @@ bench-throughput-baseline:
         --dir {{justfile_directory()}}/target/throughput-summaries \
         --out {{justfile_directory()}}/benchmarks/throughput-baseline.json
 
+# Traced campaign benchmark (perfbench/README.md): per-phase host time
+# per run, and a gate that every record is byte-equal across passes,
+# the traced replica and the ablations. Fails unless the last line
+# reports `"correct": true` and `"failed": 0`. This is the CI step.
+bench-campaign:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    cd {{justfile_directory()}}
+    out=$(cargo run --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
+        --workload campaign-corpus --seed 1 --seconds 1 --trace 1)
+    echo "$out"
+    echo "$out" | tail -n 1 | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else "campaign benchmark: records differ or runs failed")'
+
 # Determinism gate: the fast paths must be model-invisible. Sweep the
 # corpus with fast paths on (at two worker counts) and off, and demand
 # byte-identical campaign.jsonl artifacts AND byte-identical
