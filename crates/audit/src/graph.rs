@@ -12,15 +12,15 @@
 //! `(table, index)` links from the root down — of any entry is rebuilt
 //! on demand by [`MappingGraph::chain`], only for the few entries a
 //! finding names. Consecutive leaves of one table with contiguous
-//! outputs and equal permissions and span collapse into one
-//! [`LeafRun`]; the kernel linear map is about one run per level-3
-//! table instead of half a million leaves.
+//! outputs and equal permissions collapse into one [`LeafRun`], as
+//! `pagetable::split_table` splits the table; the kernel linear map is
+//! about one run per level-3 table instead of half a million leaves.
 
 use std::collections::HashSet;
 
 use hypernel_machine::addr::PhysAddr;
 use hypernel_machine::machine::Machine;
-use hypernel_machine::pagetable::{desc, Descriptor, PagePerms};
+use hypernel_machine::pagetable::{self, desc, PagePerms, TableRun};
 
 /// How a root entered the walk — provenance shown in findings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -179,9 +179,6 @@ pub struct MappingGraph {
     pub tables: Vec<PhysAddr>,
     /// Every reachable leaf, as runs in deterministic walk order.
     pub runs: Vec<LeafRun>,
-    /// Structurally malformed descriptors (table pointer at leaf
-    /// level): detail, node and entry index.
-    pub malformed: Vec<(String, usize, u64)>,
 }
 
 impl MappingGraph {
@@ -222,46 +219,31 @@ impl MappingGraph {
             root,
             parent,
         });
-        let span = 1u64 << level_shift(level);
+        let span = pagetable::leaf_span(level);
         let entries = m.debug_read_table(table);
-        let mut open: Option<LeafRun> = None;
-        for (i, &raw) in (0u64..).zip(entries.iter()) {
-            let va = va_base | i << level_shift(level);
-            let descriptor = Descriptor::decode(raw, level);
-            if let Descriptor::Leaf { out, perms } = descriptor {
-                match &mut open {
-                    Some(run) if run.perms == perms && run.out_end() == out.raw() => {
-                        run.count += 1;
-                    }
-                    _ => {
-                        self.runs.extend(open.take());
-                        open = Some(LeafRun {
-                            node,
-                            first: i,
-                            count: 1,
-                            va,
-                            out,
-                            span,
-                            perms,
-                        });
-                    }
+        for run in pagetable::split_table(&entries, level) {
+            match run {
+                TableRun::Invalid { .. } => {}
+                TableRun::Table { index, next } => {
+                    let va = va_base | (index * span);
+                    self.walk_table(m, root, next, Some((node, index)), level + 1, va, visited);
                 }
-                continue;
-            }
-            self.runs.extend(open.take());
-            if let Descriptor::Table { next } = descriptor {
-                if level >= 3 {
-                    self.malformed.push((
-                        format!("table pointer at leaf level, va {va:#x}"),
-                        node,
-                        i,
-                    ));
-                } else {
-                    self.walk_table(m, root, next, Some((node, i)), level + 1, va, visited);
-                }
+                TableRun::Leaves {
+                    first,
+                    count,
+                    out,
+                    perms,
+                } => self.runs.push(LeafRun {
+                    node,
+                    first,
+                    count,
+                    va: va_base | (first * span),
+                    out,
+                    span,
+                    perms,
+                }),
             }
         }
-        self.runs.extend(open);
     }
 
     /// The descriptor chain from the root down to entry `index` of
@@ -314,10 +296,6 @@ impl MappingGraph {
     }
 }
 
-fn level_shift(level: u32) -> u32 {
-    12 + 9 * (3 - level)
-}
-
 /// Strips the ASID field from a raw `TTBRn_EL1` value, leaving the
 /// table base.
 pub fn ttbr_base(raw: u64) -> PhysAddr {
@@ -328,7 +306,7 @@ pub fn ttbr_base(raw: u64) -> PhysAddr {
 mod tests {
     use super::*;
     use hypernel_machine::machine::MachineConfig;
-    use hypernel_machine::pagetable::desc as d;
+    use hypernel_machine::pagetable::{desc as d, Descriptor};
 
     fn machine() -> Machine {
         Machine::new(MachineConfig {

@@ -36,8 +36,7 @@
 //!   set;
 //! - **watch-coverage** — every word of every registered monitored
 //!   region has its MBM watch bit set and a non-cacheable kernel
-//!   mapping;
-//! - **malformed** — no table pointer sits at leaf level.
+//!   mapping.
 //!
 //! The ownership sanitizer ([`sanitizer::seed_shadow`] +
 //! [`hypernel_machine::shadow`]) is the dynamic complement: a shadow
@@ -101,13 +100,6 @@ pub fn audit_system(
     report.tables_walked = graph.tables.len() as u64;
     report.leaves_checked = graph.leaf_count();
 
-    for (detail, node, index) in &graph.malformed {
-        report.finding(
-            CheckKind::Malformed,
-            detail.clone(),
-            graph.chain(*node, *index),
-        );
-    }
     check_leaves(&graph, &mut report);
     if strict {
         let hyp = hypersec.expect("strict implies hypersec");

@@ -33,9 +33,6 @@ pub enum CheckKind {
     RogueRoot,
     /// A registered sensitive word is not covered by the watch bitmap.
     WatchCoverage,
-    /// A structurally malformed descriptor (table pointer at leaf
-    /// level).
-    Malformed,
 }
 
 impl CheckKind {
@@ -50,7 +47,6 @@ impl CheckKind {
             CheckKind::UnverifiedTable => "unverified-table",
             CheckKind::RogueRoot => "rogue-root",
             CheckKind::WatchCoverage => "watch-coverage",
-            CheckKind::Malformed => "malformed",
         }
     }
 }

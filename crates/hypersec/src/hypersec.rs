@@ -26,7 +26,7 @@ use hypernel_kernel::abi::Hypercall;
 use hypernel_kernel::layout;
 use hypernel_machine::addr::{IntermAddr, PhysAddr, VirtAddr, PAGE_SIZE, SECTION_SIZE};
 use hypernel_machine::machine::{AccessKind, Hyp, Machine, PolicyViolation, Stage2Outcome};
-use hypernel_machine::pagetable::{self, Descriptor, PagePerms};
+use hypernel_machine::pagetable::{self, Descriptor, PagePerms, TableRun};
 use hypernel_machine::regs::{hcr, sctlr, ExceptionLevel, SysReg};
 use hypernel_mbm::bitmap::BitmapLayout;
 use hypernel_mbm::ring::RingLayout;
@@ -564,6 +564,10 @@ impl Hypersec {
     /// 6. every monitored region's page is non-cacheable in the kernel's
     ///    view and its watch bits are set in the bitmap.
     ///
+    /// Each table is read whole and split into runs of leaves with
+    /// [`pagetable::split_table`]; a run is checked once, and leaf by
+    /// leaf only when one of its leaf checks fires on it.
+    ///
     /// The paper's §8 argues Hypersec's ~1.5 KLoC is small enough to
     /// verify formally; this runtime auditor is the testable stand-in —
     /// integration tests run it after every adversarial scenario.
@@ -641,43 +645,77 @@ impl Hypersec {
         if !self.tables.contains_key(&table.raw()) {
             report.violation(format!("reachable table {table} is not registered"));
         }
-        for i in 0..pagetable::ENTRIES_PER_TABLE as u64 {
-            let raw = m.debug_read_phys(table.add(i * 8));
-            let va = va_base | i << level_shift(level);
-            match Descriptor::decode(raw, level) {
-                Descriptor::Invalid => {}
-                Descriptor::Table { next } => {
-                    if level >= 3 {
-                        report.violation(format!("table pointer at leaf level in {table}"));
-                    } else {
-                        self.audit_tree(m, next, level + 1, va, kernel_space, report);
-                    }
+        let span = pagetable::leaf_span(level);
+        let entries = m.debug_read_table(table);
+        for run in pagetable::split_table(&entries, level) {
+            match run {
+                TableRun::Invalid { .. } => {}
+                TableRun::Table { index, next } => {
+                    let va = va_base | (index * span);
+                    self.audit_tree(m, next, level + 1, va, kernel_space, report);
                 }
-                Descriptor::Leaf { out, perms } => {
-                    report.leaves_checked += 1;
-                    let span = 1u64 << level_shift(level);
-                    if out.raw() + span > layout::SECURE_BASE {
-                        report.violation(format!("leaf at va {va:#x} maps secure memory ({out})"));
+                TableRun::Leaves {
+                    first,
+                    count,
+                    out,
+                    perms,
+                } => {
+                    report.leaves_checked += count;
+                    let va = va_base | (first * span);
+                    // Every check is a constant or an overlap test on
+                    // the output range, so the run fires as one wide
+                    // leaf exactly when one of its leaves fires.
+                    let mut wide = self.leaf_violations(kernel_space, va, out, count * span, perms);
+                    if wide.next().is_none() {
+                        continue;
                     }
-                    if perms.write && perms.exec && !self.wx_check_disabled {
-                        report.violation(format!("W^X violation at va {va:#x}"));
-                    }
-                    if kernel_space && va != out.raw() {
-                        report.violation(format!(
-                            "kernel linear leaf not identity: va {va:#x} -> {out}"
-                        ));
-                    }
-                    let image_end = layout::KERNEL_IMAGE_BASE + layout::KERNEL_IMAGE_SIZE;
-                    if kernel_space
-                        && out.raw() < image_end
-                        && out.raw() + span > layout::KERNEL_IMAGE_BASE
-                        && perms.write
-                    {
-                        report.violation(format!("kernel text writable at va {va:#x}"));
+                    for k in 0..count {
+                        let (va, out) = (va + k * span, out.add(k * span));
+                        for violation in self.leaf_violations(kernel_space, va, out, span, perms) {
+                            report.violation(violation);
+                        }
                     }
                 }
             }
         }
+    }
+
+    /// The leaf invariants (2–4 and immutable kernel text) a leaf of
+    /// `span` bytes at `va` violates, in report order.
+    fn leaf_violations(
+        &self,
+        kernel_space: bool,
+        va: u64,
+        out: PhysAddr,
+        span: u64,
+        perms: PagePerms,
+    ) -> impl Iterator<Item = String> {
+        type Describe = fn(u64, PhysAddr) -> String;
+        let image_end = layout::KERNEL_IMAGE_BASE + layout::KERNEL_IMAGE_SIZE;
+        let end = out.raw() + span;
+        let checks: [(bool, Describe); 4] = [
+            (end > layout::SECURE_BASE, |va, out| {
+                format!("leaf at va {va:#x} maps secure memory ({out})")
+            }),
+            (
+                perms.write && perms.exec && !self.wx_check_disabled,
+                |va, _| format!("W^X violation at va {va:#x}"),
+            ),
+            (kernel_space && va != out.raw(), |va, out| {
+                format!("kernel linear leaf not identity: va {va:#x} -> {out}")
+            }),
+            (
+                kernel_space
+                    && out.raw() < image_end
+                    && end > layout::KERNEL_IMAGE_BASE
+                    && perms.write,
+                |va, _| format!("kernel text writable at va {va:#x}"),
+            ),
+        ];
+        checks
+            .into_iter()
+            .filter(|&(fires, _)| fires)
+            .map(move |(_, describe)| describe(va, out))
     }
 
     // ------------------------------------------------------------------

@@ -199,6 +199,93 @@ impl Descriptor {
     }
 }
 
+/// One maximal run of a table's entries, as split by [`split_table`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TableRun {
+    /// Entries `first..first + count` are invalid.
+    Invalid {
+        /// Index of the first entry.
+        first: u64,
+        /// Number of entries (at least 1).
+        count: u64,
+    },
+    /// Entry `index` points to a next-level table.
+    Table {
+        /// Entry index.
+        index: u64,
+        /// Physical address of the next-level table page.
+        next: PhysAddr,
+    },
+    /// Entries `first..first + count` are leaves with equal decoded
+    /// permissions and contiguous outputs: leaf `k` maps
+    /// `out + k * leaf_span(level)`.
+    Leaves {
+        /// Index of the first leaf.
+        first: u64,
+        /// Number of leaves (at least 1).
+        count: u64,
+        /// Output address of the first leaf.
+        out: PhysAddr,
+        /// Permissions shared by every leaf of the run.
+        perms: PagePerms,
+    },
+}
+
+/// Splits a table read whole at translation `level` into maximal runs,
+/// in index order: the runs partition the table's 512 entries, and two
+/// neighbouring leaves share a run exactly when [`Descriptor::decode`]
+/// gives them equal permissions and contiguous outputs.
+///
+/// Most neighbours in a run differ only by one span in the address
+/// field, so the splitter first compares raw words and decodes only
+/// where that test fails.
+pub fn split_table(
+    entries: &[u64; ENTRIES_PER_TABLE],
+    level: u32,
+) -> impl Iterator<Item = TableRun> + '_ {
+    let span = leaf_span(level);
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let (&raw, rest) = entries.get(start..)?.split_first()?;
+        let first = start as u64;
+        let (run, count) = match Descriptor::decode(raw, level) {
+            Descriptor::Invalid => {
+                let count = 1 + rest.iter().take_while(|&&w| w & desc::VALID == 0).count() as u64;
+                (TableRun::Invalid { first, count }, count)
+            }
+            Descriptor::Table { next } => (TableRun::Table { index: first, next }, 1),
+            Descriptor::Leaf { out, perms } => {
+                let mut count = 1;
+                let mut prev = raw;
+                for &w in rest {
+                    // Same attribute and ignored bits, output one span
+                    // on; the XOR rejects an add that carried out of
+                    // the address field.
+                    let fast = w == prev.wrapping_add(span) && (w ^ prev) & !desc::ADDR_MASK == 0;
+                    let next = Descriptor::Leaf {
+                        out: PhysAddr::new(out.raw() + count * span),
+                        perms,
+                    };
+                    if !fast && Descriptor::decode(w, level) != next {
+                        break;
+                    }
+                    prev = w;
+                    count += 1;
+                }
+                let run = TableRun::Leaves {
+                    first,
+                    count,
+                    out,
+                    perms,
+                };
+                (run, count)
+            }
+        };
+        start += count as usize;
+        Some(run)
+    })
+}
+
 /// Why a walk failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WalkFault {
@@ -240,9 +327,14 @@ fn table_index(input: u64, level: u32) -> usize {
     ((input >> (PAGE_SHIFT + 9 * (LEVELS - 1 - level))) & 0x1FF) as usize
 }
 
+/// Bytes one leaf maps at `level`: a 4 KiB page at L3, a 2 MiB block
+/// at L2, a 1 GiB block at L1.
+pub fn leaf_span(level: u32) -> u64 {
+    1u64 << (PAGE_SHIFT + 9 * (LEVELS - 1 - level))
+}
+
 fn block_offset_mask(level: u32) -> u64 {
-    // L3 page: 4 KiB; L2 block: 2 MiB; L1 block: 1 GiB.
-    (1u64 << (PAGE_SHIFT + 9 * (LEVELS - 1 - level))) - 1
+    leaf_span(level) - 1
 }
 
 /// Physical address of the descriptor for `input` at `level` within
@@ -697,6 +789,247 @@ mod tests {
         ] {
             let level = 1;
             assert_eq!(Descriptor::decode(d.encode(), level), d);
+        }
+    }
+
+    #[test]
+    fn decode_never_yields_a_table_at_level_3() {
+        let table = Descriptor::Table {
+            next: PhysAddr::new(0xABC000),
+        }
+        .encode();
+        assert!(matches!(
+            Descriptor::decode(table, 2),
+            Descriptor::Table { .. }
+        ));
+        assert_eq!(
+            Descriptor::decode(table, 3),
+            Descriptor::Leaf {
+                out: PhysAddr::new(0xABC000),
+                perms: PagePerms::from_bits(0),
+            }
+        );
+        let mut rng = SplitMix(3);
+        for _ in 0..10_000 {
+            let raw = rng.next() | desc::VALID | desc::TABLE;
+            assert!(matches!(
+                Descriptor::decode(raw, 3),
+                Descriptor::Leaf { .. }
+            ));
+        }
+    }
+
+    /// A splitmix64 stream for seeded-random tables.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Bits [`Descriptor::decode`] ignores: 6–11 and 48–63.
+    const IGNORED: u64 = 0xFFFF_0000_0000_0FC0;
+
+    /// The split by per-entry decode: each entry joins the previous
+    /// run when it decodes to the same kind and, for leaves, to equal
+    /// permissions and the next output address.
+    fn split_by_decode(entries: &[u64; ENTRIES_PER_TABLE], level: u32) -> Vec<TableRun> {
+        let span = leaf_span(level);
+        let mut runs: Vec<TableRun> = Vec::new();
+        for (i, &raw) in (0u64..).zip(entries) {
+            match (runs.last_mut(), Descriptor::decode(raw, level)) {
+                (Some(TableRun::Invalid { count, .. }), Descriptor::Invalid) => *count += 1,
+                (
+                    Some(TableRun::Leaves {
+                        count, out, perms, ..
+                    }),
+                    Descriptor::Leaf { out: o, perms: p },
+                ) if *perms == p && out.raw() + *count * span == o.raw() => *count += 1,
+                (_, Descriptor::Invalid) => runs.push(TableRun::Invalid { first: i, count: 1 }),
+                (_, Descriptor::Table { next }) => runs.push(TableRun::Table { index: i, next }),
+                (_, Descriptor::Leaf { out, perms }) => runs.push(TableRun::Leaves {
+                    first: i,
+                    count: 1,
+                    out,
+                    perms,
+                }),
+            }
+        }
+        runs
+    }
+
+    /// A table of random stretches: invalid words with stray bits,
+    /// table pointers, and leaf runs whose ignored bits, TABLE bit and
+    /// contiguity are perturbed at random, some starting near the top
+    /// of the address field.
+    fn random_table(rng: &mut SplitMix, level: u32) -> [u64; ENTRIES_PER_TABLE] {
+        let span = leaf_span(level);
+        let mut entries = [0u64; ENTRIES_PER_TABLE];
+        let mut i = 0;
+        while i < ENTRIES_PER_TABLE {
+            let len = (1 + rng.below(80) as usize).min(ENTRIES_PER_TABLE - i);
+            match rng.below(4) {
+                0 => {
+                    for e in &mut entries[i..i + len] {
+                        *e = rng.next() & !desc::VALID;
+                    }
+                }
+                1 => entries[i] = rng.next() | desc::VALID | desc::TABLE,
+                _ => {
+                    let top = rng.below(4) == 0;
+                    let mut out = if top {
+                        desc::ADDR_MASK - rng.below(4) * span
+                    } else {
+                        rng.next()
+                    } & desc::ADDR_MASK;
+                    let attrs = rng.next() & 0x3C | desc::VALID;
+                    let ignored = rng.next() & IGNORED;
+                    for e in &mut entries[i..i + len] {
+                        let mut raw = out | attrs | ignored;
+                        if rng.below(8) == 0 {
+                            raw ^= rng.next() & IGNORED;
+                        }
+                        if rng.below(8) == 0 {
+                            raw |= desc::TABLE;
+                        }
+                        if rng.below(32) == 0 {
+                            raw ^= 1 << (2 + rng.below(4));
+                        }
+                        *e = raw;
+                        out = (out + span) & desc::ADDR_MASK;
+                        if rng.below(32) == 0 {
+                            out = (out + span) & desc::ADDR_MASK;
+                        }
+                    }
+                }
+            }
+            i += len;
+        }
+        entries
+    }
+
+    #[test]
+    fn split_table_equals_the_per_entry_decode_on_random_tables() {
+        let mut rng = SplitMix(11);
+        for level in 0..LEVELS {
+            for _ in 0..200 {
+                let entries = random_table(&mut rng, level);
+                let runs: Vec<TableRun> = split_table(&entries, level).collect();
+                assert_eq!(runs, split_by_decode(&entries, level), "level {level}");
+            }
+        }
+    }
+
+    fn leaf_word(out: u64, perms: PagePerms) -> u64 {
+        Descriptor::Leaf {
+            out: PhysAddr::new(out),
+            perms,
+        }
+        .encode()
+    }
+
+    #[test]
+    fn ignored_bits_inside_a_run_do_not_split_it() {
+        let mut entries = [0u64; ENTRIES_PER_TABLE];
+        for (k, e) in (0u64..).zip(&mut entries[10..20]) {
+            *e = leaf_word(0x40_0000 + k * 0x1000, PagePerms::KERNEL_DATA) | (k << 6) | (k << 50);
+        }
+        let runs: Vec<TableRun> = split_table(&entries, 3).collect();
+        assert_eq!(runs, split_by_decode(&entries, 3));
+        assert_eq!(
+            runs[1],
+            TableRun::Leaves {
+                first: 10,
+                count: 10,
+                out: PhysAddr::new(0x40_0000),
+                perms: PagePerms::KERNEL_DATA,
+            }
+        );
+    }
+
+    #[test]
+    fn an_add_that_carries_out_of_the_address_field_splits_the_run() {
+        for level in 0..LEVELS {
+            let span = leaf_span(level);
+            let last = desc::ADDR_MASK & !(span - 1);
+            for high in [0, IGNORED & !0xFC0] {
+                let mut entries = [0u64; ENTRIES_PER_TABLE];
+                entries[0] = leaf_word(last, PagePerms::KERNEL_RO) | high;
+                // The raw successor: the address field wraps to 0 and
+                // the carry lands in the ignored bits (or wraps the
+                // whole word when they are all set).
+                entries[1] = entries[0].wrapping_add(span);
+                let runs: Vec<TableRun> = split_table(&entries, level).collect();
+                assert_eq!(runs, split_by_decode(&entries, level), "level {level}");
+                if entries[1] & desc::VALID != 0 {
+                    assert!(matches!(runs[1], TableRun::Leaves { first: 1, .. }));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_table_bit_at_level_3_is_a_leaf_bit() {
+        let mut entries = [0u64; ENTRIES_PER_TABLE];
+        for (k, e) in (0u64..).zip(&mut entries[..4]) {
+            *e = leaf_word(0x8000 + k * 0x1000, PagePerms::from_bits(0)) | ((k % 2) * desc::TABLE);
+        }
+        let leaves: Vec<TableRun> = split_table(&entries, 3).collect();
+        assert_eq!(
+            leaves[0],
+            TableRun::Leaves {
+                first: 0,
+                count: 4,
+                out: PhysAddr::new(0x8000),
+                perms: PagePerms::from_bits(0),
+            }
+        );
+        let tables: Vec<TableRun> = split_table(&entries, 2).collect();
+        assert_eq!(tables, split_by_decode(&entries, 2));
+        assert_eq!(
+            tables[1],
+            TableRun::Table {
+                index: 1,
+                next: PhysAddr::new(0x9000),
+            }
+        );
+    }
+
+    #[test]
+    fn full_and_empty_tables_are_one_run() {
+        for level in 0..LEVELS {
+            let span = leaf_span(level);
+            let mut entries = [0u64; ENTRIES_PER_TABLE];
+            for (k, e) in (0u64..).zip(&mut entries) {
+                *e = leaf_word(k * span, PagePerms::USER_DATA);
+            }
+            let full: Vec<TableRun> = split_table(&entries, level).collect();
+            assert_eq!(
+                full,
+                [TableRun::Leaves {
+                    first: 0,
+                    count: 512,
+                    out: PhysAddr::new(0),
+                    perms: PagePerms::USER_DATA,
+                }]
+            );
+            let empty: Vec<TableRun> = split_table(&[0; ENTRIES_PER_TABLE], level).collect();
+            assert_eq!(
+                empty,
+                [TableRun::Invalid {
+                    first: 0,
+                    count: 512
+                }]
+            );
         }
     }
 

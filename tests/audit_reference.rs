@@ -55,7 +55,6 @@ mod reference {
     pub struct Graph {
         tables: Vec<PhysAddr>,
         leaves: Vec<Leaf>,
-        malformed: Vec<(String, Vec<ChainLink>)>,
     }
 
     fn level_shift(level: u32) -> u32 {
@@ -108,14 +107,7 @@ mod reference {
             match Descriptor::decode(raw, level) {
                 Descriptor::Invalid => {}
                 Descriptor::Table { next } => {
-                    if level >= 3 {
-                        graph.malformed.push((
-                            format!("table pointer at leaf level, va {va:#x}"),
-                            chain.clone(),
-                        ));
-                    } else {
-                        walk_table(m, root, next, level + 1, va, chain, visited, tables, graph);
-                    }
+                    walk_table(m, root, next, level + 1, va, chain, visited, tables, graph);
                 }
                 Descriptor::Leaf { out, perms } => graph.leaves.push(Leaf {
                     kernel_space: root.kernel_space,
@@ -203,9 +195,6 @@ mod reference {
         report.roots_walked = roots.len() as u64;
         report.tables_walked = graph.tables.len() as u64;
         report.leaves_checked = graph.leaves.len() as u64;
-        for (detail, chain) in &graph.malformed {
-            report.finding(CheckKind::Malformed, detail.clone(), chain.clone());
-        }
         check_leaves(&graph, &mut report);
         if strict {
             let hyp = hypersec.expect("strict");
